@@ -133,13 +133,6 @@ func (rt *Runtime) Run(ctx context.Context, maxCycles uint64) (*machine.System, 
 	return sys, nil
 }
 
-// RunToCompletion boots and runs a system to the end, returning it.
-//
-// Deprecated: use Run, which takes a context.
-func (rt *Runtime) RunToCompletion(maxCycles uint64) (*machine.System, error) {
-	return rt.Run(context.Background(), maxCycles)
-}
-
 // CheckpointResult is one planned power failure: the drain report, the
 // durable crash image, and the successor machine already recovered from it.
 type CheckpointResult struct {

@@ -31,7 +31,7 @@ func FuzzCrashConsistency(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		clean, err := rt.RunToCompletion(100_000_000)
+		clean, err := rt.Run(context.Background(), 100_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -32,7 +32,7 @@ func TestRandomProgramsCrashConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		clean, err := rt.RunToCompletion(50_000_000)
+		clean, err := rt.Run(context.Background(), 50_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -66,7 +66,7 @@ func TestRandomProgramsWholeSystemPersistence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sys, err := rt.RunToCompletion(50_000_000)
+		sys, err := rt.Run(context.Background(), 50_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -91,7 +91,7 @@ func TestUnrollingPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d unroll %d: %v", seed, unroll, err)
 			}
-			sys, err := rt.RunToCompletion(50_000_000)
+			sys, err := rt.Run(context.Background(), 50_000_000)
 			if err != nil {
 				t.Fatalf("seed %d unroll %d: %v", seed, unroll, err)
 			}
@@ -136,7 +136,7 @@ func TestManyThreadsCrashConsistency(t *testing.T) {
 	cfg.Cores = 16
 	cfg.Threads = 16
 	rt := newRT(t, p, cfg)
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func testControllers(t *testing.T, numMCs int) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		clean, err := rt.RunToCompletion(50_000_000)
+		clean, err := rt.Run(context.Background(), 50_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -15,12 +15,26 @@
 // Multi-cut schedules chain N successive power failures, including cuts at
 // cycle 0 of a recovered machine: a failure during recovery itself.
 //
+// Schedules share their first segment. Every first segment is a prefix of
+// the same deterministic run, so instead of replaying each prefix from
+// cycle 0 the campaign walks it once: the campaign goroutine steps one
+// walker machine through the first cuts in ascending order and at each
+// takes the crash image with machine.System.CrashImage — the §IV-F drain
+// run on a copy of the battery-backed state while the walker keeps
+// running. Each image goes over an unbuffered channel to a worker, which
+// recovers from it, applies the schedule's later cuts, runs to completion
+// and takes the verdict exactly as Replay would. A campaign's prefix cost
+// thus falls from the sum of its first-cut cycles to at most one run of the
+// program. Replay — a from-cycle-0 prefix followed by the same tail —
+// remains the path for shrinking and for repro files.
+//
 // Failing schedules are shrunk (shrink.go) to a minimal reproducer and
 // serialized as self-contained JSON repro files (repro.go) that
 // `lightwsp-crashfuzz -replay` re-executes deterministically.
 //
-// Campaigns reuse the experiments infrastructure: injections fan out over an
-// experiments.Pool, and passing verdicts are memoized in an
+// Campaigns reuse the experiments infrastructure: the workers run in the
+// slots of an experiments.Pool (the walker stays outside it, so a one-slot
+// pool cannot deadlock), and passing verdicts are memoized in an
 // experiments.BlobCache keyed by the canonical run key + schedule, so a
 // repeated or resumed campaign skips every injection it has already proven.
 package crashfuzz
@@ -176,14 +190,20 @@ func (r *Result) String() string {
 	return t.String()
 }
 
-// campaign carries the resolved state one Run shares across workers.
+// campaign carries the resolved state one Run shares across the walker and
+// the workers.
 type campaign struct {
-	cfg       Config
-	rt        *core.Runtime
-	mcfg      machine.Config
-	orc       *oracle
-	key       string
-	maxCycles uint64
+	cfg         Config
+	rt          *core.Runtime
+	mcfg        machine.Config
+	orc         *oracle
+	key         string
+	keyHash     string
+	maxCycles   uint64
+	scheds      []Schedule
+	mode        string
+	interesting int
+	pool        *experiments.Pool
 
 	mu       sync.Mutex
 	done     int
@@ -203,14 +223,31 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run with cancellation: when ctx ends, no further schedules
-// are dispatched, in-flight replays run to completion (individual replays are
+// RunContext is Run with cancellation: when ctx ends, the oracle run and
+// the walk stop at their next cycle batch, no further schedules are
+// dispatched, in-flight replays run to completion (individual replays are
 // short), and the campaign returns an error wrapping wsperr.ErrCanceled
 // instead of a partial manifest.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
-	p := cfg.Profile
+	c, err := newCampaign(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	outcomes, err := c.walk(ctx)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("crashfuzz: campaign %s/%s: %w: %v", cfg.Profile.Suite, cfg.Profile.Name, wsperr.ErrCanceled, cerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.result(outcomes, start)
+}
 
+// newCampaign resolves the configuration, compiles the workload, runs the
+// oracle and plans the schedules.
+func newCampaign(ctx context.Context, cfg Config) (*campaign, error) {
+	p := cfg.Profile
 	mcfg := cfg.Machine
 	if mcfg.Cores == 0 {
 		mcfg = experiments.ScaledConfig()
@@ -247,14 +284,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("crashfuzz: %w: %v", wsperr.ErrCanceled, err)
 	}
-	orc, interesting, err := buildOracle(rt, maxCycles, maxInteresting)
+	orc, interesting, err := buildOracle(ctx, rt, maxCycles, maxInteresting)
 	if err != nil {
 		return nil, err
 	}
 	key, keyHash := experiments.CanonicalRunKey(p, rt.Sch, mcfg, ccfg)
-
 	scheds, mode := plan(cfg, orc.cycles, interesting)
-	c := &campaign{cfg: cfg, rt: rt, mcfg: mcfg, orc: orc, key: key, maxCycles: maxCycles}
 
 	pool := cfg.Pool
 	if pool == nil {
@@ -264,44 +299,120 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		pool = experiments.NewPool(workers)
 	}
+	return &campaign{
+		cfg: cfg, rt: rt, mcfg: mcfg, orc: orc, key: key, keyHash: keyHash,
+		maxCycles: maxCycles, scheds: scheds, mode: mode,
+		interesting: len(interesting), pool: pool,
+	}, nil
+}
 
-	outcomes := make([]outcome, len(scheds))
+// handoff is one schedule's start, passed from the walker to a worker: the
+// crash image and drain report of its first cut, or — when the walker
+// finished before that cut — the finished walker, and the schedule fires
+// nothing.
+type handoff struct {
+	i        int
+	pm       *mem.Image
+	rep      machine.FailureReport
+	finished *machine.System
+}
+
+// walk resolves every schedule. The walker steps one machine through the
+// first cuts and hands each crash image over an unbuffered channel, so at
+// most one image waits; one worker per pool slot takes it, recovers,
+// applies the later cuts, runs to completion and takes the verdict exactly
+// as a Replay would. It returns once every worker has drained the channel.
+func (c *campaign) walk(ctx context.Context) ([]outcome, error) {
+	outcomes := make([]outcome, len(c.scheds))
+	work := make(chan handoff)
 	var wg sync.WaitGroup
-	for i := range scheds {
-		i := i
+	for w := 0; w < c.pool.Size(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := pool.DoCtx(ctx, func() { outcomes[i] = c.resolve(scheds[i]) }); err != nil {
-				outcomes[i] = outcome{err: err}
+			for h := range work {
+				if err := c.pool.DoCtx(ctx, func() { outcomes[h.i] = c.resolve(h) }); err != nil {
+					outcomes[h.i] = outcome{err: err}
+				}
 			}
 		}()
 	}
+	err := c.step(ctx, outcomes, work)
+	close(work)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("crashfuzz: campaign %s/%s: %w: %v", p.Suite, p.Name, wsperr.ErrCanceled, err)
-	}
+	return outcomes, err
+}
 
+// step is the walker. It runs on the campaign goroutine, outside the pool,
+// so it never competes with its own workers for a slot, and it visits the
+// schedules in plan order — ascending first cuts — stepping its machine
+// from one first cut to the next and taking each crash image without
+// cutting power. Cached verdicts are recorded without an image. The machine
+// is dropped when step returns, after the last first cut.
+func (c *campaign) step(ctx context.Context, outcomes []outcome, work chan<- handoff) error {
+	var sys *machine.System
+	finished := false
+	for i, sched := range c.scheds {
+		if o, ok := c.cached(sched); ok {
+			outcomes[i] = o
+			c.tick()
+			continue
+		}
+		if sys == nil {
+			var err error
+			if sys, err = c.rt.NewSystem(); err != nil {
+				return err
+			}
+			sys.SetFaultInjector(faults.New(c.cfg.Faults))
+		}
+		h := handoff{i: i}
+		if !finished {
+			if sched[0] < sys.Cycle() {
+				return fmt.Errorf("crashfuzz: schedule %v planned after a cut at cycle %d", sched, sys.Cycle())
+			}
+			var err error
+			if finished, err = sys.RunUntilContext(ctx, sched[0]); err != nil {
+				return err
+			}
+		}
+		if finished {
+			h.finished = sys
+		} else {
+			h.pm, h.rep = sys.CrashImage()
+		}
+		select {
+		case work <- h:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// result assembles the campaign manifest from the schedules' outcomes and
+// writes the artifacts.
+func (c *campaign) result(outcomes []outcome, start time.Time) (*Result, error) {
+	p := c.cfg.Profile
 	res := &Result{
 		SchemaVersion:     ReproSchemaVersion,
 		Suite:             string(p.Suite),
 		App:               p.Name,
-		Scheme:            rt.Sch.Name,
-		KeyHash:           keyHash,
-		Mode:              mode,
-		Cuts:              maxInt(cfg.Cuts, 1),
-		Seed:              cfg.Seed,
-		OracleCycles:      orc.cycles,
-		OracleHash:        orc.hash,
-		Faults:            cfg.Faults.String(),
-		CyclesCovered:     len(scheds),
-		InterestingCycles: len(interesting),
-		Workers:           pool.Size(),
+		Scheme:            c.rt.Sch.Name,
+		KeyHash:           c.keyHash,
+		Mode:              c.mode,
+		Cuts:              maxInt(c.cfg.Cuts, 1),
+		Seed:              c.cfg.Seed,
+		OracleCycles:      c.orc.cycles,
+		OracleHash:        c.orc.hash,
+		Faults:            c.cfg.Faults.String(),
+		CyclesCovered:     len(c.scheds),
+		InterestingCycles: c.interesting,
+		Workers:           c.pool.Size(),
 	}
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.err != nil {
-			return nil, fmt.Errorf("crashfuzz: schedule %v: %w", scheds[i], o.err)
+			return nil, fmt.Errorf("crashfuzz: schedule %v: %w", c.scheds[i], o.err)
 		}
 		res.Injections += o.fired
 		res.ShrinkReplays += o.shrinkReplays
@@ -310,8 +421,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		if o.repro != nil {
 			res.Divergences++
-			o.repro.Seed = cfg.Seed
-			o.repro.KeyHash = keyHash
+			o.repro.Seed = c.cfg.Seed
+			o.repro.KeyHash = c.keyHash
 			res.Repros = append(res.Repros, *o.repro)
 		}
 	}
@@ -319,11 +430,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if res.WallSeconds > 0 {
 		res.InjectionsPerSec = float64(res.Injections) / res.WallSeconds
 	}
-	if err := writeArtifacts(cfg.OutDir, res); err != nil {
+	if err := writeArtifacts(c.cfg.OutDir, res); err != nil {
 		return nil, err
 	}
 	c.progress(fmt.Sprintf("crashfuzz %s/%s: %s over %d schedules, %d injections (%d cached), %d divergences, %.1fs",
-		p.Suite, p.Name, mode, len(scheds), res.Injections, res.CacheHits, res.Divergences, res.WallSeconds))
+		p.Suite, p.Name, c.mode, len(c.scheds), res.Injections, res.CacheHits, res.Divergences, res.WallSeconds))
 	return res, nil
 }
 
@@ -336,26 +447,53 @@ type outcome struct {
 	err           error
 }
 
-// resolve replays one schedule: cached verdict, or replay + verdict, with
-// shrinking on divergence.
-func (c *campaign) resolve(sched Schedule) outcome {
+// resolve runs one handed-off schedule to its verdict.
+func (c *campaign) resolve(h handoff) outcome {
 	defer c.tick()
-	vkey, vhash := c.verdictKey(sched)
-	useCache := c.cfg.Cache != nil && c.cfg.CorruptPM == nil
-	if useCache {
-		var e verdictEntry
-		if experiments.VerdictCodec.Load(c.cfg.Cache, vhash, vkey, &e) {
-			return outcome{cached: true, fired: e.Fired}
-		}
-	}
-	rep, err := Replay(c.rt, sched, c.maxCycles, c.cfg.CorruptPM, c.cfg.Faults)
+	rep, err := c.tail(h)
 	if err != nil {
 		return outcome{err: err}
 	}
+	return c.judge(c.scheds[h.i], rep)
+}
+
+// tail runs a handed-off schedule to completion: recover from the first
+// cut's crash image, apply the later cuts and run on — or take the finished
+// walker as is.
+func (c *campaign) tail(h handoff) (*ReplayResult, error) {
+	if h.finished != nil {
+		return &ReplayResult{Sys: h.finished}, nil
+	}
+	return resume(c.rt, c.scheds[h.i], h.pm, h.rep, c.maxCycles, c.cfg.CorruptPM, c.cfg.Faults)
+}
+
+// useCache reports whether verdicts are memoized: a corrupting recovery's
+// verdicts would poison the cache.
+func (c *campaign) useCache() bool {
+	return c.cfg.Cache != nil && c.cfg.CorruptPM == nil
+}
+
+// cached returns the memoized passing verdict of sched, if any.
+func (c *campaign) cached(sched Schedule) (outcome, bool) {
+	if !c.useCache() {
+		return outcome{}, false
+	}
+	vkey, vhash := c.verdictKey(sched)
+	var e verdictEntry
+	if !experiments.VerdictCodec.Load(c.cfg.Cache, vhash, vkey, &e) {
+		return outcome{}, false
+	}
+	return outcome{cached: true, fired: e.Fired}, true
+}
+
+// judge takes one replayed schedule's verdict: a pass is memoized, a
+// divergence is shrunk.
+func (c *campaign) judge(sched Schedule, rep *ReplayResult) outcome {
 	if verr := verdict(rep.Sys, c.orc, c.mcfg.Threads); verr != nil {
 		return c.diverge(sched, rep, verr)
 	}
-	if useCache {
+	if c.useCache() {
+		vkey, vhash := c.verdictKey(sched)
 		experiments.VerdictCodec.Store(c.cfg.Cache, vhash, vkey, verdictEntry{Fired: rep.Fired})
 	}
 	return outcome{fired: rep.Fired}

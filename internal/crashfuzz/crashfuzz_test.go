@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -142,7 +143,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc, _, err := buildOracle(rt, maxReplayCycles, 0)
+	orc, _, err := buildOracle(context.Background(), rt, maxReplayCycles, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

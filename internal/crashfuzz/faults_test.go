@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc, _, err := buildOracle(rt, maxReplayCycles, 0)
+	orc, _, err := buildOracle(context.Background(), rt, maxReplayCycles, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

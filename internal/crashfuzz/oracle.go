@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"fmt"
 
 	"lightwsp/internal/core"
@@ -73,16 +74,18 @@ func (ic *interestCollector) record(cycle uint64) {
 // buildOracle runs the workload once crash-free, checks the completed run's
 // own persistence invariant (PM ≡ architectural state on program data — if
 // that fails, the harness has found a bug before injecting anything), and
-// returns the oracle plus the interesting cycles observed.
-func buildOracle(rt *core.Runtime, maxCycles uint64, maxInteresting int) (*oracle, []uint64, error) {
+// returns the oracle plus the interesting cycles observed. The run stops at
+// its next cycle batch once ctx ends, with an error wrapping
+// wsperr.ErrCanceled.
+func buildOracle(ctx context.Context, rt *core.Runtime, maxCycles uint64, maxInteresting int) (*oracle, []uint64, error) {
 	sys, err := rt.NewSystem()
 	if err != nil {
 		return nil, nil, err
 	}
 	ic := newInterestCollector(maxInteresting)
 	sys.SetProbeSink(ic.sink())
-	if !sys.Run(maxCycles) {
-		return nil, nil, fmt.Errorf("crashfuzz: oracle run exceeded %d cycles", maxCycles)
+	if err := sys.RunContext(ctx, maxCycles); err != nil {
+		return nil, nil, fmt.Errorf("crashfuzz: oracle run: %w", err)
 	}
 	if err := recovery.VerifyPMMatchesArch(sys.PM(), sys.Arch()); err != nil {
 		return nil, nil, fmt.Errorf("crashfuzz: failure-free run violates persistence invariant: %w", err)

@@ -50,29 +50,51 @@ type ReplayResult struct {
 // segment's own cycle counter, never on earlier cuts; the oracle stays
 // fault-free. Replays are deterministic: the same runtime, schedule and plan
 // always produce the same final machine.
+//
+// Replay is the from-cycle-0 prefix of the first segment followed by resume,
+// the same tail a campaign's workers run on the walker's crash images. It is
+// the path for shrinking and for re-executing repro files.
 func Replay(rt *core.Runtime, sched Schedule, maxCycles uint64, corrupt func(*mem.Image), plan faults.Plan) (*ReplayResult, error) {
 	sys, err := rt.NewSystem()
 	if err != nil {
 		return nil, err
 	}
 	sys.SetFaultInjector(faults.New(plan))
+	if len(sched) == 0 || sys.RunUntil(sched[0]) {
+		return complete(sys, sched, maxCycles, &ReplayResult{})
+	}
+	rep := sys.PowerFail()
+	return resume(rt, sched, sys.PM(), rep, maxCycles, corrupt, plan)
+}
+
+// resume is a replay's tail after its first cut: given that cut's crash
+// image pm (which it takes over and may mutate) and drain report, it
+// corrupts the image if asked, recovers, applies the schedule's later cuts
+// the same way, and runs the last segment to completion.
+func resume(rt *core.Runtime, sched Schedule, pm *mem.Image, rep machine.FailureReport, maxCycles uint64, corrupt func(*mem.Image), plan faults.Plan) (*ReplayResult, error) {
 	res := &ReplayResult{}
-	for _, cut := range sched {
-		if sys.RunUntil(cut) {
-			break // completed before the cut could fire
-		}
-		rep := sys.PowerFail()
+	for k := 0; ; k++ {
 		if corrupt != nil {
-			corrupt(sys.PM())
+			corrupt(pm)
 		}
-		sys, err = rt.Recover(sys.PM(), rep.RegionCounter)
+		sys, err := rt.Recover(pm, rep.RegionCounter)
 		if err != nil {
-			return nil, fmt.Errorf("crashfuzz: recover after cut at cycle %d: %w", cut, err)
+			return nil, fmt.Errorf("crashfuzz: recover after cut at cycle %d: %w", sched[k], err)
 		}
 		sys.SetFaultInjector(faults.New(plan))
 		res.Fired++
 		res.Discarded += rep.Discarded
+		if k+1 == len(sched) || sys.RunUntil(sched[k+1]) {
+			return complete(sys, sched, maxCycles, res)
+		}
+		rep = sys.PowerFail()
+		pm = sys.PM()
 	}
+}
+
+// complete runs a replay's last segment to completion; a cut whose cycle
+// lay beyond completion skipped the rest of the schedule.
+func complete(sys *machine.System, sched Schedule, maxCycles uint64, res *ReplayResult) (*ReplayResult, error) {
 	if !sys.Run(maxCycles) {
 		return nil, fmt.Errorf("crashfuzz: replay %v exceeded %d cycles", sched, maxCycles)
 	}

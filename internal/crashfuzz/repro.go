@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func ReplayRepro(r *Repro) error {
 	if err != nil {
 		return err
 	}
-	orc, _, err := buildOracle(rt, maxReplayCycles, 0)
+	orc, _, err := buildOracle(context.Background(), rt, maxReplayCycles, 0)
 	if err != nil {
 		return err
 	}

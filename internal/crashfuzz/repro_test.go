@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,7 +86,7 @@ func TestReplayReproOnHealthyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc, _, err := buildOracle(rt, maxReplayCycles, 0)
+	orc, _, err := buildOracle(context.Background(), rt, maxReplayCycles, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

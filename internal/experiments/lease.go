@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	iofs "io/fs"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -13,8 +12,10 @@ import (
 
 // leaseDir is the subdirectory lease files live in, beside the blobs they
 // coordinate. Lease files are advisory coordination state, not durable
-// artifacts: they are small plain-JSON files created with O_CREATE|O_EXCL,
-// which is atomic on a shared directory — the fleet's cross-node mutex.
+// artifacts: small plain-JSON records, each written to a temp file first
+// and then hard-linked to the lease name — a link fails if the name exists,
+// which is atomic on a shared directory and publishes the record whole.
+// That is the fleet's cross-node mutex.
 const leaseDir = "leases"
 
 // leaseRecord is the content of one lease file.
@@ -30,10 +31,10 @@ func (c *BlobCache) leasePath(name string) string {
 }
 
 // Claim implements Leaser: attempt to take the named lease for owner. The
-// claim is an O_EXCL create of the lease file; losing the race (the file
-// exists with an unexpired record) returns false. A record that is expired,
-// torn or undecodable belonged to a crashed or wedged holder and is broken:
-// removed, then re-claimed through the same exclusive create so two
+// claim links a complete record to the lease name; losing the race (the
+// file exists with an unexpired record) returns false. A record that is
+// expired or undecodable belonged to a crashed or wedged holder and is
+// broken: removed, then re-claimed through the same exclusive link so two
 // breakers still serialize.
 func (c *BlobCache) Claim(name, owner string, ttl time.Duration) bool {
 	for attempt := 0; attempt < 2; attempt++ {
@@ -44,7 +45,7 @@ func (c *BlobCache) Claim(name, owner string, ttl time.Duration) bool {
 		if err == nil && time.Now().UnixNano() < rec.Expires {
 			return false // live holder
 		}
-		// Expired or unreadable: break it and retry the exclusive create
+		// Expired or unreadable: break it and retry the exclusive link
 		// exactly once — if another breaker wins the re-create, we lose.
 		if err := c.fs.Remove(c.leasePath(name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return false
@@ -75,40 +76,57 @@ func (c *BlobCache) Release(name, owner string) {
 	}
 }
 
+// tryCreateLease publishes a fresh record for owner under the lease name,
+// whole or not at all: the record goes to a temp file that is then linked
+// to the name, which fails if the name exists. A concurrent claimant thus
+// never reads a lease file before its record is in it and mistakes it for
+// a torn lease to break.
 func (c *BlobCache) tryCreateLease(name, owner string, ttl time.Duration) bool {
-	if c.fs.MkdirAll(filepath.Join(c.dir, leaseDir), 0o755) != nil {
-		return false
-	}
-	f, err := c.fs.OpenFile(c.leasePath(name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := c.leaseTemp(owner, ttl)
 	if err != nil {
 		return false
 	}
-	data, _ := json.Marshal(leaseRecord{Owner: owner, Expires: time.Now().Add(ttl).UnixNano()})
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		// A torn lease file reads as breakable; remove our debris eagerly.
-		c.fs.Remove(c.leasePath(name))
-		return false
-	}
-	return true
+	defer c.discardTemp(tmp)
+	return c.fs.Link(tmp, c.leasePath(name)) == nil
 }
 
-// writeLease overwrites the lease file in place (renew path). Leases are
-// advisory, so no fsync ceremony: a lease lost to a power cut just means
-// the work is claimed again.
+// writeLease replaces the lease file's record (renew path) by renaming a
+// complete temp file over it, so readers see the old record or the new
+// one. Leases are advisory, so no fsync ceremony: a lease lost to a power
+// cut just means the work is claimed again.
 func (c *BlobCache) writeLease(name, owner string, ttl time.Duration) error {
-	f, err := c.fs.OpenFile(c.leasePath(name), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	tmp, err := c.leaseTemp(owner, ttl)
 	if err != nil {
 		return err
 	}
+	if err := c.fs.Rename(tmp, c.leasePath(name)); err != nil {
+		c.discardTemp(tmp)
+		return err
+	}
+	return nil
+}
+
+// leaseTemp writes owner's record, expiring ttl from now, to a new temp
+// file in the lease directory and returns the temp file's name.
+func (c *BlobCache) leaseTemp(owner string, ttl time.Duration) (string, error) {
+	dir := filepath.Join(c.dir, leaseDir)
+	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	f, err := c.fs.CreateTemp(dir, ".tmp*")
+	if err != nil {
+		return "", err
+	}
 	data, _ := json.Marshal(leaseRecord{Owner: owner, Expires: time.Now().Add(ttl).UnixNano()})
 	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	return cerr
+	if werr != nil {
+		c.discardTemp(f.Name())
+		return "", werr
+	}
+	return f.Name(), nil
 }
 
 func (c *BlobCache) readLease(name string) (leaseRecord, error) {

@@ -237,7 +237,7 @@ func RecoverySweep(pointsPerApp int) (*RecoverySweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clean, err := rt.RunToCompletion(MaxRunCycles)
+		clean, err := rt.Run(context.Background(), MaxRunCycles)
 		if err != nil {
 			return nil, err
 		}

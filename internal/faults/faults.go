@@ -215,6 +215,17 @@ func New(p Plan) *Injector {
 	return &Injector{plan: p}
 }
 
+// Clone returns an independent copy: the same plan, consultation counter
+// and fault counters, so the copy decides exactly as in would from here on
+// while in's own decision stream stays untouched. Nil-receiver safe.
+func (in *Injector) Clone() *Injector {
+	if in == nil {
+		return nil
+	}
+	c := *in
+	return &c
+}
+
 // Plan returns the plan the injector was built from.
 func (in *Injector) Plan() Plan {
 	if in == nil {

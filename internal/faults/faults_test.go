@@ -23,6 +23,37 @@ func TestInjectorDeterministic(t *testing.T) {
 }
 
 // Different seeds must produce different decision streams (overwhelmingly).
+// A clone decides exactly as its original would from the point it was
+// taken, and consulting it leaves the original's stream untouched — what
+// lets a crash image drain on a copy without shifting the live machine's
+// later faults.
+func TestInjectorCloneIsIndependent(t *testing.T) {
+	plan := Plan{Seed: 7, DropPct: 20, DupPct: 10, DelayPct: 20, ReorderPct: 10}
+	live, ref := New(plan), New(plan)
+	for now := uint64(0); now < 100; now++ {
+		live.Message(now, 1, now, 0, 1)
+		ref.Message(now, 1, now, 0, 1)
+	}
+	c := live.Clone()
+	for now := uint64(100); now < 200; now++ {
+		if dc, dr := c.Message(now, 2, now, 1, 0), ref.Message(now, 2, now, 1, 0); dc != dr {
+			t.Fatalf("cycle %d: clone decided %+v, original stream %+v", now, dc, dr)
+		}
+	}
+	fresh := New(plan)
+	for now := uint64(0); now < 100; now++ {
+		fresh.Message(now, 1, now, 0, 1)
+	}
+	for now := uint64(100); now < 200; now++ {
+		if dl, df := live.Message(now, 2, now, 1, 0), fresh.Message(now, 2, now, 1, 0); dl != df {
+			t.Fatalf("cycle %d: consulting the clone shifted the original: %+v vs %+v", now, dl, df)
+		}
+	}
+	if (*Injector)(nil).Clone() != nil {
+		t.Fatal("clone of the fault-free nil injector is not nil")
+	}
+}
+
 func TestInjectorSeedMatters(t *testing.T) {
 	a := New(Plan{Seed: 1, DropPct: 50})
 	b := New(Plan{Seed: 2, DropPct: 50})

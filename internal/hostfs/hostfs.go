@@ -53,6 +53,11 @@ type FS interface {
 	// '*' is replaced by a unique suffix), like os.CreateTemp.
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
+	// Link makes newname a hard link to oldname. It fails, with an error
+	// satisfying errors.Is(err, fs.ErrExist), when newname already exists,
+	// so a record written to a temp file and linked into place is
+	// published whole or not at all, and only once.
+	Link(oldname, newname string) error
 	Remove(name string) error
 	RemoveAll(path string) error
 	MkdirAll(path string, perm iofs.FileMode) error
@@ -91,6 +96,8 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Link(oldname, newname string) error { return os.Link(oldname, newname) }
 
 func (osFS) Remove(name string) error { return os.Remove(name) }
 

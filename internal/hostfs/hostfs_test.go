@@ -347,3 +347,81 @@ func TestDiskFSSatellite(t *testing.T) {
 		t.Fatalf("read back: %q, %v", data, err)
 	}
 }
+
+// TestLinkPublishesOnce checks Link, the lease layer's publish primitive,
+// on every FS implementation: the first link publishes the temp file's
+// content under the new name, a second link to a taken name fails with
+// fs.ErrExist and leaves the first record in place, and removing the temp
+// name keeps the linked one.
+func TestLinkPublishesOnce(t *testing.T) {
+	for name, mk := range map[string]func(t *testing.T) (FS, string){
+		"disk":   func(t *testing.T) (FS, string) { return Disk(), t.TempDir() },
+		"mem":    func(*testing.T) (FS, string) { return NewMem(Plan{}), "d" },
+		"inject": func(*testing.T) (FS, string) { return Inject(NewMem(Plan{}), Plan{}), "d" },
+		"retry":  func(*testing.T) (FS, string) { return WithRetry(NewMem(Plan{}), RetryPolicy{}), "d" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fsys, dir := mk(t)
+			if err := fsys.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			temp := func(content string) string {
+				f, err := fsys.CreateTemp(dir, ".tmp*")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte(content)); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				return f.Name()
+			}
+			dst := filepath.Join(dir, "job.lease")
+			first := temp("first")
+			if err := fsys.Link(first, dst); err != nil {
+				t.Fatal(err)
+			}
+			if err := fsys.Link(temp("second"), dst); !errors.Is(err, iofs.ErrExist) {
+				t.Fatalf("link over an existing name: got %v, want fs.ErrExist", err)
+			}
+			if err := fsys.Remove(first); err != nil {
+				t.Fatal(err)
+			}
+			if data, err := fsys.ReadFile(dst); err != nil || string(data) != "first" {
+				t.Fatalf("linked record: %q, %v", data, err)
+			}
+		})
+	}
+}
+
+// TestMemLinkDurableOnlyAfterSyncDir: a link is a directory entry like a
+// rename, so a crash forgets it until the parent directory is synced.
+func TestMemLinkDurableOnlyAfterSyncDir(t *testing.T) {
+	m := NewMem(Plan{})
+	m.MkdirAll("d", 0o755)
+	tmp, _ := m.CreateTemp("d", ".tmp*")
+	tmp.Write([]byte("payload"))
+	tmp.Sync()
+	tmp.Close()
+	dst := filepath.Join("d", "entry")
+	if err := m.Link(tmp.Name(), dst); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	if _, err := m.ReadFile(dst); !errors.Is(err, iofs.ErrNotExist) {
+		t.Fatalf("link without dir sync must not survive, got %v", err)
+	}
+
+	tmp, _ = m.CreateTemp("d", ".tmp*")
+	tmp.Write([]byte("payload"))
+	tmp.Sync()
+	tmp.Close()
+	m.Link(tmp.Name(), dst)
+	if err := m.SyncDir("d"); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	if data, err := m.ReadFile(dst); err != nil || string(data) != "payload" {
+		t.Fatalf("link + dir sync must survive: %q, %v", data, err)
+	}
+}

@@ -34,6 +34,7 @@ const (
 	opMkdir
 	opTruncate
 	opSyncDir
+	opLink
 )
 
 // Injector wraps an FS and injects the plan's operation-level faults:
@@ -156,6 +157,17 @@ func (in *Injector) Rename(oldpath, newpath string) error {
 		return err
 	}
 	return in.inner.Rename(oldpath, newpath)
+}
+
+func (in *Injector) Link(oldname, newname string) error {
+	in.maybeSlow(opLink)
+	if err := in.enospc(opLink, newname, "link"); err != nil {
+		return err
+	}
+	if err := in.eio(opLink, newname, "link"); err != nil {
+		return err
+	}
+	return in.inner.Link(oldname, newname)
 }
 
 func (in *Injector) Remove(name string) error {

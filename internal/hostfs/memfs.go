@@ -29,8 +29,8 @@ var ErrCrashed = errors.New("hostfs: file handle lost in crash")
 //   - File content becomes durable when the handle's Sync returns honestly
 //     (a plan's FsyncLiePct makes some Syncs lie: return nil, persist
 //     nothing — the classic firmware betrayal).
-//   - Directory entries (creates, renames, removes) become durable when
-//     SyncDir runs on the parent. Rename without SyncDir = an entry a
+//   - Directory entries (creates, links, renames, removes) become durable
+//     when SyncDir runs on the parent. Rename without SyncDir = an entry a
 //     crash forgets, even if the content was synced.
 //   - Directories themselves (MkdirAll) are durable immediately; entry
 //     durability is the interesting failure, not mkdir.
@@ -246,6 +246,27 @@ func (m *MemFS) Rename(oldpath, newpath string) error {
 	m.files[newpath] = f
 	// The durable namespace is untouched: the rename is persisted only by
 	// a later SyncDir on the parent directory.
+	return nil
+}
+
+// Link makes newname a second name of oldname's inode: later writes through
+// either name show in both. It fails with fs.ErrExist when newname exists.
+// Like Rename, the new entry is durable only after a SyncDir on its parent.
+func (m *MemFS) Link(oldname, newname string) error {
+	oldname, newname = clean(oldname), clean(newname)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[oldname]
+	if !ok {
+		return m.pathErr("link", oldname, iofs.ErrNotExist)
+	}
+	if _, exists := m.files[newname]; exists {
+		return m.pathErr("link", newname, iofs.ErrExist)
+	}
+	if !m.dirs[filepath.Dir(newname)] {
+		return m.pathErr("link", newname, iofs.ErrNotExist)
+	}
+	m.files[newname] = f
 	return nil
 }
 

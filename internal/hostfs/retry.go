@@ -96,6 +96,10 @@ func (r *retryFS) Rename(oldpath, newpath string) error {
 	return r.do("rename", func() error { return r.inner.Rename(oldpath, newpath) })
 }
 
+func (r *retryFS) Link(oldname, newname string) error {
+	return r.do("link", func() error { return r.inner.Link(oldname, newname) })
+}
+
 func (r *retryFS) Remove(name string) error {
 	return r.do("remove", func() error { return r.inner.Remove(name) })
 }

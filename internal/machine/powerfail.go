@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"lightwsp/internal/mem"
 	"lightwsp/internal/noc"
 	"lightwsp/internal/probe"
 )
@@ -24,7 +25,6 @@ type FailureReport struct {
 // exactly the crash state the recovery runtime starts from. The machine is
 // dead after this call — build a recovered system to continue.
 func (s *System) PowerFail() FailureReport {
-	rep := FailureReport{Cycle: s.cycle, RegionCounter: s.regionCounter}
 	if s.probe != nil {
 		s.probe.Emit(probe.Event{Kind: probe.PowerFailCut, Cycle: s.cycle,
 			Core: -1, MC: -1})
@@ -39,6 +39,59 @@ func (s *System) PowerFail() FailureReport {
 		}
 	}
 	s.runningCores, s.sbPending, s.pathPending = 0, 0, 0
+
+	rep := s.drain()
+	s.wpqPending = 0
+	if s.probe != nil {
+		s.probe.Emit(probe.Event{Kind: probe.PowerFailDrained, Cycle: s.cycle,
+			Core: -1, MC: -1, Arg: uint64(rep.Discarded)})
+	}
+	s.finalizeStats()
+	s.Stats.Cycles = s.cycle
+	return rep
+}
+
+// CrashImage returns the crash image and drain report PowerFail would
+// produce at the current cycle, and leaves the machine running. The drain
+// runs on a battery copy (see batteryCopy), so the live machine's PM pages,
+// WPQ entries, ACK sets, undo records, NoC queue and fault-injector stream
+// are untouched and no probe event is emitted: stepping on and calling
+// CrashImage again at a later cycle is the same as a fresh machine's
+// PowerFail there. The returned image is the caller's own.
+func (s *System) CrashImage() (*mem.Image, FailureReport) {
+	c := s.batteryCopy()
+	rep := c.drain()
+	return c.pm, rep
+}
+
+// batteryCopy returns a machine holding copies of exactly the state the
+// §IV-F drain reads — the PM image, the WPQs, the in-flight and parked
+// MC↔MC messages and the fault injector — wired to itself. It has no cores,
+// caches or probe sink and can do nothing but drain. The injector is copied
+// because any consultation advances its decision counter, which would shift
+// every later fault decision of the live machine.
+func (s *System) batteryCopy() *System {
+	c := &System{
+		pm:            s.pm.Clone(),
+		net:           s.net.Clone(),
+		cycle:         s.cycle,
+		regionCounter: s.regionCounter,
+		inj:           s.inj.Clone(),
+		parked:        append([]noc.Message(nil), s.parked...),
+	}
+	c.net.SetInjector(c.inj)
+	for _, m := range s.mcs {
+		c.mcs = append(c.mcs, &mc{id: m.id, q: m.q.Clone(c.queueSinks(m.id))})
+	}
+	return c
+}
+
+// drain runs steps (1)–(6) of the §IV-F protocol on the battery-backed
+// state: the PM image, the WPQs, the MC↔MC messages in flight or parked at
+// a stuck controller, and whether a fault injector is attached. PowerFail
+// runs it in place; CrashImage runs it on a battery copy.
+func (s *System) drain() FailureReport {
+	rep := FailureReport{Cycle: s.cycle, RegionCounter: s.regionCounter}
 	// Boundary broadcasts still on the core side are lost; MC↔MC ACKs
 	// survive on battery and are guaranteed to arrive (§IV-F step 1).
 	s.net.DropCoreTraffic()
@@ -87,12 +140,5 @@ func (s *System) PowerFail() FailureReport {
 	for _, m := range s.mcs {
 		rep.Discarded += m.q.Discard()
 	}
-	s.wpqPending = 0
-	if s.probe != nil {
-		s.probe.Emit(probe.Event{Kind: probe.PowerFailDrained, Cycle: s.cycle,
-			Core: -1, MC: -1, Arg: uint64(rep.Discarded)})
-	}
-	s.finalizeStats()
-	s.Stats.Cycles = s.cycle
 	return rep
 }

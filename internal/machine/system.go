@@ -174,7 +174,6 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 		mode = wpq.Gated
 	}
 	for m := 0; m < cfg.NumMCs; m++ {
-		m := m
 		ctrl := &mc{
 			id:   m,
 			dram: mem.NewDRAMCache(cfg.DRAMCacheSize / uint64(cfg.NumMCs)),
@@ -185,13 +184,7 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 			FirstRegion:  firstRegion,
 			RetryTimeout: cfg.retryTimeout(), RetryBudget: cfg.retryBudget(),
 			BrokenDupAcks: cfg.BrokenDupAcks,
-		}, wpq.Sinks{
-			PMWrite:       s.pmWrite,
-			PMRead:        func(a uint64) uint64 { return s.pm.Read(a) },
-			Send:          func(msg noc.Message) { s.net.Send(s.cycle, msg) },
-			OnFlush:       func(e wpq.Entry) { s.onFlush(m, e) },
-			OnPeerTimeout: s.onPeerTimeout,
-		})
+		}, s.queueSinks(m))
 		s.mcs = append(s.mcs, ctrl)
 	}
 	s.stuckSince = make([]uint64, cfg.NumMCs)
@@ -218,6 +211,18 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 		s.cores = append(s.cores, c)
 	}
 	return s, nil
+}
+
+// queueSinks wires controller m's WPQ to this machine: its PM image, its
+// NoC at the current cycle, and its flush and degradation bookkeeping.
+func (s *System) queueSinks(m int) wpq.Sinks {
+	return wpq.Sinks{
+		PMWrite:       s.pmWrite,
+		PMRead:        func(a uint64) uint64 { return s.pm.Read(a) },
+		Send:          func(msg noc.Message) { s.net.Send(s.cycle, msg) },
+		OnFlush:       func(e wpq.Entry) { s.onFlush(m, e) },
+		OnPeerTimeout: s.onPeerTimeout,
+	}
 }
 
 // stripCheckpoints removes CkptStore instructions (cWSP mode: idempotent

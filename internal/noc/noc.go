@@ -99,6 +99,17 @@ func New(latency uint64) *Network {
 // injector (the default) restores the perfect fabric.
 func (n *Network) SetInjector(inj *faults.Injector) { n.inj = inj }
 
+// Clone returns an independent copy of the network: its in-flight messages,
+// send sequence and counters. The copy has no injector — attach the copy's
+// own with SetInjector, since consulting n's would advance n's decision
+// stream.
+func (n *Network) Clone() *Network {
+	c := *n
+	c.queue = append([]inflight(nil), n.queue...)
+	c.inj = nil
+	return &c
+}
+
 // Send enqueues a message at time now; it arrives at now+latency, unless an
 // attached injector drops, delays, or duplicates it. An injected duplicate
 // trails the original by one cycle, modeling a spurious retransmission.

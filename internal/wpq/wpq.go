@@ -15,6 +15,7 @@ package wpq
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"lightwsp/internal/mem"
@@ -176,6 +177,21 @@ func New(cfg Config, sinks Sinks) *Queue {
 		bdryAcks:  map[uint64]uint64{},
 		flushAcks: map[uint64]uint64{},
 	}
+}
+
+// Clone returns an independent copy of the queue — entries, flush ID,
+// boundary and ACK sets, undo records, retry timer, mode flags and
+// counters — that drives sinks instead of q's. The copy has no probe sink.
+func (q *Queue) Clone(sinks Sinks) *Queue {
+	c := *q
+	c.sinks = sinks
+	c.probe = nil
+	c.entries = append([]Entry(nil), q.entries...)
+	c.undoRecs = append([]undoRec(nil), q.undoRecs...)
+	c.bdryRcvd = maps.Clone(q.bdryRcvd)
+	c.bdryAcks = maps.Clone(q.bdryAcks)
+	c.flushAcks = maps.Clone(q.flushAcks)
+	return &c
 }
 
 // EnableRetry arms the reliable-delivery machinery: retransmission of
