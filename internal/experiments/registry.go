@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"lightwsp/internal/baseline"
 	"lightwsp/internal/compiler"
@@ -83,13 +84,17 @@ func ResolveConfigs(p workload.Profile, ccfg compiler.Config) (machine.Config, c
 // (lightwsp, baseline, capri, ppa, cwsp, psp-ideal, naive-sfence),
 // case-insensitively. The name set matches Schemes.
 func SchemeByName(name string) (machine.Scheme, bool) {
-	for _, sch := range Schemes() {
+	for _, sch := range schemeTable() {
 		if strings.EqualFold(sch.Name, name) {
 			return sch, true
 		}
 	}
 	return machine.Scheme{}, false
 }
+
+// schemeTable is Schemes built once, for SchemeByName: the serving layer
+// resolves a scheme on every request.
+var schemeTable = sync.OnceValue(Schemes)
 
 // Schemes returns every named persistence scheme the evaluation compares,
 // LightWSP first, the rest sorted by name.

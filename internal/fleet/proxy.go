@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 )
 
 // ForwardedHeader marks a request that already crossed one node hop. A
@@ -68,18 +69,27 @@ func Proxy(w http.ResponseWriter, r *http.Request, targetBase string, hc *http.C
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
+	copyBody(w, resp.Body, resp.ContentLength < 0)
 	return true, nil
 }
 
-// flushCopy streams src to w, flushing after every read so long-lived
-// NDJSON streams cross the proxy without buffering a run's worth of
-// events.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	f, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+// copyBufs holds the buffers copyBody moves response bytes through, so a
+// proxied request does not allocate one.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// copyBody streams src to w. With flush set — a body of unknown length,
+// such as an NDJSON event stream — it flushes after every read, so a long
+// run's events cross the proxy as they happen instead of a run's worth at
+// a time. A fixed-length body is copied without per-chunk flushes.
+func copyBody(w http.ResponseWriter, src io.Reader, flush bool) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	var f http.Flusher
+	if flush {
+		f, _ = w.(http.Flusher)
+	}
 	for {
-		n, err := src.Read(buf)
+		n, err := src.Read(buf[:])
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return

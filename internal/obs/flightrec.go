@@ -12,9 +12,10 @@ import (
 )
 
 // DefaultFlightCap is the flight recorder's default ring capacity: enough of
-// the probe-event tail to see what the machine was doing when a run died,
-// small enough (events are ~56 bytes) that hundreds of in-flight runs cost a
-// few megabytes.
+// the probe-event tail to see what the machine was doing when a run died.
+// Events are 56 bytes, so a full ring is 224 KiB; it is allocated on the
+// first event, so a request that simulates nothing (a memo hit, a joined
+// waiter) never pays for it.
 const DefaultFlightCap = 4096
 
 // FlightRecorder keeps the last N probe events of one in-flight run in a
@@ -29,9 +30,10 @@ const DefaultFlightCap = 4096
 // attached to a request pay; the nil-sink fast path is untouched.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	ring    []probe.Event
-	next    int    // ring write position
-	total   uint64 // events ever observed
+	size    int
+	ring    []probe.Event // nil until the first Emit
+	next    int           // ring write position
+	total   uint64        // events ever observed
 	traceID string
 	suite   string
 	app     string
@@ -45,7 +47,7 @@ func NewFlightRecorder(traceID string, cap int) *FlightRecorder {
 	if cap <= 0 {
 		cap = DefaultFlightCap
 	}
-	return &FlightRecorder{ring: make([]probe.Event, 0, cap), traceID: traceID}
+	return &FlightRecorder{size: cap, traceID: traceID}
 }
 
 // SetRun records what the recorder is watching (shows up in the dump).
@@ -70,6 +72,9 @@ func (f *FlightRecorder) TraceID() string { return f.traceID }
 // Emit implements probe.Sink.
 func (f *FlightRecorder) Emit(e probe.Event) {
 	f.mu.Lock()
+	if f.ring == nil {
+		f.ring = make([]probe.Event, 0, f.size)
+	}
 	if len(f.ring) < cap(f.ring) {
 		f.ring = append(f.ring, e)
 	} else {

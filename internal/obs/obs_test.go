@@ -182,6 +182,37 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderWithoutEvents: a recorder that never saw an event (a
+// memo hit's) holds no ring, and its dump is empty but well formed. The
+// first event allocates the whole ring.
+func TestFlightRecorderWithoutEvents(t *testing.T) {
+	rec := NewFlightRecorder("idle", 0)
+	if rec.ring != nil {
+		t.Fatalf("ring allocated before the first event (cap %d)", cap(rec.ring))
+	}
+	if evs := rec.Events(); len(evs) != 0 {
+		t.Fatalf("Events() = %v, want none", evs)
+	}
+	path, err := rec.Dump(t.TempDir(), "drain-interrupted", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"total_events": 0`, `"events": []`} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Fatalf("dump lacks %s:\n%s", want, data)
+		}
+	}
+	rec.Emit(probe.Event{Kind: probe.RegionOpen, Cycle: 1})
+	if cap(rec.ring) != DefaultFlightCap || len(rec.Events()) != 1 {
+		t.Fatalf("after one event: ring cap %d, %d events; want %d, 1",
+			cap(rec.ring), len(rec.Events()), DefaultFlightCap)
+	}
+}
+
 func TestLoggerLevelsAreCaseInsensitive(t *testing.T) {
 	var buf bytes.Buffer
 	log, err := NewLogger(&buf, "DEBUG", "TEXT")

@@ -190,6 +190,9 @@ func (s *Server) accessLog(r *http.Request, ri *reqInfo, status int, d time.Dura
 	if status >= http.StatusInternalServerError {
 		lvl = slog.LevelWarn
 	}
+	if !s.log.Enabled(r.Context(), lvl) {
+		return
+	}
 	attrs := []any{
 		"trace", ri.traceID,
 		"method", r.Method,
@@ -245,11 +248,11 @@ func (s *Server) attachFlight(ctx context.Context, ri *reqInfo) (context.Context
 	}
 	ri.flight = rec
 	s.flightMu.Lock()
-	s.activeFlights[ri.traceID] = rec
+	s.activeFlights[rec] = struct{}{}
 	s.flightMu.Unlock()
 	return obs.WithRecorder(ctx, rec), func() {
 		s.flightMu.Lock()
-		delete(s.activeFlights, ri.traceID)
+		delete(s.activeFlights, rec)
 		s.flightMu.Unlock()
 	}
 }
@@ -264,7 +267,7 @@ func (s *Server) dumpInflightFlights(reason string) int {
 	}
 	s.flightMu.Lock()
 	recs := make([]*obs.FlightRecorder, 0, len(s.activeFlights))
-	for _, rec := range s.activeFlights {
+	for rec := range s.activeFlights {
 		recs = append(recs, rec)
 	}
 	s.flightMu.Unlock()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -138,13 +139,20 @@ type Server struct {
 	// Telemetry plane: the structured logger, the /metrics state, the
 	// recent-run registry behind /v1/debug/run/{id}, and the flight-recorder
 	// bookkeeping (dump directory plus the registry of in-flight recorders a
-	// failed drain dumps before the process exits).
+	// failed drain dumps before the process exits). The registry is keyed
+	// by recorder, not trace ID: requests may share a trace ID.
 	log           *slog.Logger
 	tel           *telemetry
 	runs          *runLog
 	flightDir     string
 	flightMu      sync.Mutex
-	activeFlights map[string]*obs.FlightRecorder
+	activeFlights map[*obs.FlightRecorder]struct{}
+
+	// runBodies maps a run key hash to its encoded RunResponse, so a memo
+	// hit writes stored bytes instead of encoding the Stats again. It holds
+	// one entry per key the Runner's memo holds, and like the memo it never
+	// evicts.
+	runBodies sync.Map
 
 	// storage tallies the durable layer's detected failures (quarantines,
 	// checksum mismatches, write errors, durability loss) across the result
@@ -180,12 +188,12 @@ func New(cfg Config) *Server {
 		sem:           make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		tel:           newTelemetry(),
 		runs:          newRunLog(),
-		activeFlights: map[string]*obs.FlightRecorder{},
+		activeFlights: map[*obs.FlightRecorder]struct{}{},
 		storage:       &experiments.StorageCounters{},
 	}
 	s.log = cfg.Logger
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = slog.New(discardHandler{})
 	}
 	s.flightDir = cfg.FlightDir
 	if s.flightDir == "" && cfg.CacheDir != "" {
@@ -215,6 +223,16 @@ func New(cfg Config) *Server {
 	s.routes()
 	return s
 }
+
+// discardHandler is the log handler of a server without a logger. It is
+// never enabled, so no log line is formatted. (slog.DiscardHandler needs
+// Go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -363,11 +381,24 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 
 // writeJSON writes v as the JSON response body with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON returns v as a response body: tab-indented JSON ending in a
+// newline. A value that does not encode yields an empty body.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "\t")
 	enc.Encode(v)
+	return b.Bytes()
+}
+
+// writeBody writes an encodeJSON body with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // writeErr maps a harness error onto its HTTP status, records it in the

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,42 @@ func TestConcurrentRunsShareOneSimulation(t *testing.T) {
 	}
 	if st.Admitted != clients {
 		t.Fatalf("admission accounting: %+v", st)
+	}
+}
+
+// TestWarmRunAllocations guards the memo-hit path of /v1/run: after one
+// cold request a warm read allocates little beyond the response it sends,
+// and what it sends is the cold response byte for byte.
+func TestWarmRunAllocations(t *testing.T) {
+	h := New(Config{Workers: 1}).Handler()
+	run := func(req []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	key := []byte(`{"suite":"cpu2006","app":"fuzz-st"}`)
+	cold := run(key)
+	if warm := run(key); !bytes.Equal(warm, cold) {
+		t.Fatalf("warm response differs from the cold one:\n%s\n%s", warm, cold)
+	}
+	if other := run([]byte(`{"suite":"stamp","app":"fuzz-mt"}`)); bytes.Equal(other, cold) {
+		t.Fatal("two run keys got the same body")
+	}
+
+	const reads = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		run(key)
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("%d B allocated per warm read", perRead)
+	if perRead >= 64<<10 {
+		t.Fatalf("a warm /v1/run allocates %d B, want < 64 KiB", perRead)
 	}
 }
 

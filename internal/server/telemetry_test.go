@@ -343,20 +343,60 @@ func TestDrainInterruptedDumpsFlights(t *testing.T) {
 	flightDir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, FlightDir: flightDir})
 
-	done := make(chan struct{})
 	const trace = "drain-victim-01"
+	// Long enough to still be in flight when the drain fires; its own
+	// deadline bounds how long the test waits for cleanup.
+	done := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "hmmer", TimeoutMS: 2000})
+
+	d := drainInterrupted(t, s, flightDir, trace)
+	if d.Reason != "drain-interrupted" || d.TraceID != trace {
+		t.Fatalf("dump header %+v, want reason drain-interrupted trace %q", d, trace)
+	}
+	<-done // the run 504s on its own 2s deadline; cleanup then closes ts
+}
+
+// TestDrainDumpsFlightUnderSharedTrace: two in-flight requests may share a
+// trace ID (client.WithTrace, a retry). The one that finishes first must not
+// unregister the other's flight recorder, so an interrupted drain still
+// dumps the run that is still executing.
+func TestDrainDumpsFlightUnderSharedTrace(t *testing.T) {
+	flightDir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 2, FlightDir: flightDir})
+	warm := RunRequest{Suite: "cpu2006", App: "fuzz-st"}
+	if st, body, _ := post(t, ts.URL+"/v1/run", warm); st != http.StatusOK {
+		t.Fatalf("cold run: status %d: %s", st, body)
+	}
+
+	const trace = "shared-trace-01"
+	done := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "lbm", TimeoutMS: 2000})
+	// A warm read under the same trace ID starts and finishes meanwhile.
+	if resp, body := postTraced(t, ts.URL+"/v1/run", trace, warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm read: status %d: %s", resp.StatusCode, body)
+	}
+
+	d := drainInterrupted(t, s, flightDir, trace)
+	if d.Reason != "drain-interrupted" || d.TraceID != trace || d.App != "lbm" {
+		t.Fatalf("dump header %+v, want reason drain-interrupted trace %q app lbm", d, trace)
+	}
+	<-done
+}
+
+// runInFlight posts req under trace from a goroutine and returns once the
+// request's flight recorder is registered as in flight. The returned channel
+// closes when the request completes.
+func runInFlight(t *testing.T, s *Server, url, trace string, req RunRequest) <-chan struct{} {
+	t.Helper()
+	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Long enough to still be in flight when the drain fires; its own
-		// deadline bounds how long the test waits for cleanup.
-		body, _ := json.Marshal(RunRequest{Suite: "cpu2006", App: "hmmer", TimeoutMS: 2000})
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+		body, _ := json.Marshal(req)
+		hreq, err := http.NewRequest(http.MethodPost, url+"/v1/run", bytes.NewReader(body))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		req.Header.Set(obs.TraceHeader, trace)
-		resp, err := http.DefaultClient.Do(req)
+		hreq.Header.Set(obs.TraceHeader, trace)
+		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			t.Errorf("run request: %v", err)
 			return
@@ -364,29 +404,39 @@ func TestDrainInterruptedDumpsFlights(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-
-	// Wait for the run's flight recorder to register as in-flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.flightMu.Lock()
-		_, inflight := s.activeFlights[trace]
-		s.flightMu.Unlock()
-		if inflight {
-			break
-		}
+	for !inflightTrace(s, trace) {
 		if time.Now().After(deadline) {
 			t.Fatal("run never registered a flight recorder")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return done
+}
 
+// inflightTrace reports whether a flight recorder with the given trace ID
+// is registered as in flight.
+func inflightTrace(s *Server, trace string) bool {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	for rec := range s.activeFlights {
+		if rec.TraceID() == trace {
+			return true
+		}
+	}
+	return false
+}
+
+// drainInterrupted drains s with a 50 ms deadline that work in flight
+// outlives, and returns the flight dump left under trace.
+func drainInterrupted(t *testing.T, s *Server, flightDir, trace string) obs.FlightDump {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(ctx); err == nil {
 		t.Fatal("drain should report the interruption")
 	}
-	path := filepath.Join(flightDir, trace+".flight.json")
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(flightDir, trace+".flight.json"))
 	if err != nil {
 		t.Fatalf("drain-interrupted dump missing: %v", err)
 	}
@@ -394,8 +444,5 @@ func TestDrainInterruptedDumpsFlights(t *testing.T) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Reason != "drain-interrupted" || d.TraceID != trace {
-		t.Fatalf("dump header %+v, want reason drain-interrupted trace %q", d, trace)
-	}
-	<-done // the run 504s on its own 2s deadline; cleanup then closes ts
+	return d
 }

@@ -13,7 +13,10 @@
 // of the harness builds bit-identical workloads.
 package workload
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // Suite names a benchmark suite from the paper's evaluation.
 type Suite string
@@ -238,22 +241,26 @@ func ByName(s Suite, name string) (Profile, bool) {
 
 // Find resolves a suite/name pair against the benchmark registry and the
 // fuzzing profile sets, matching the suite case-insensitively — the lookup
-// every CLI and the serving layer share.
+// every CLI and the serving layer share. The registry wins over a fuzzing
+// profile of the same suite and name.
 func Find(suite, name string) (Profile, bool) {
-	for _, s := range Suites() {
-		if strings.EqualFold(string(s), suite) {
-			if p, ok := ByName(s, name); ok {
-				return p, true
-			}
-		}
-	}
-	for _, p := range FuzzNightlyProfiles() {
-		if strings.EqualFold(string(p.Suite), suite) && p.Name == name {
+	for _, p := range findTable()[name] {
+		if strings.EqualFold(string(p.Suite), suite) {
 			return p, true
 		}
 	}
 	return Profile{}, false
 }
+
+// findTable indexes every profile Find can return by name, registry first,
+// built once: the serving layer calls Find on every request.
+var findTable = sync.OnceValue(func() map[string][]Profile {
+	t := map[string][]Profile{}
+	for _, p := range append(Profiles(), FuzzNightlyProfiles()...) {
+		t[p.Name] = append(t[p.Name], p)
+	}
+	return t
+})
 
 // MemoryIntensiveProfiles returns the Figure 9 set: the memory-intensive
 // CPU2006 applications and the WHISPER workloads.
