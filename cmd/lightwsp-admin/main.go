@@ -7,10 +7,10 @@
 //	    [-disk-faults PLAN] [-skip-verify] [-out DIR] [-json FILE] [-v]
 //
 // scrub walks a blob store, verifies every entry's integrity seal,
-// quarantines corrupt entries, evicts legacy/stale ones, garbage-collects
-// blobs no session manifest references (-sessions mode), and enforces an
-// optional size quota — the offline face of the self-healing the serving
-// path performs lazily on every read.
+// quarantines corrupt entries, evicts stale ones (unsealed or of an unknown
+// codec version), garbage-collects blobs no session manifest references
+// (-sessions mode), and enforces an optional size quota — the offline face
+// of the self-healing the serving path performs lazily on every read.
 //
 // diskfuzz runs a hostile-disk fuzzing campaign (internal/diskfuzz): the
 // durable-session and blob-cache stacks over an in-memory disk that injects
@@ -120,7 +120,6 @@ func runScrub(args []string) int {
 	t.Add("scanned", rep.Scanned)
 	t.Add("kept", fmt.Sprintf("%d (%d bytes)", rep.Kept, rep.KeptBytes))
 	t.Add("quarantined", rep.Quarantined)
-	t.Add("removed legacy", rep.RemovedLegacy)
 	t.Add("removed stale", rep.RemovedStale)
 	t.Add("removed unreferenced", rep.RemovedUnreferenced)
 	t.Add("removed temp", rep.RemovedTemp)

@@ -26,9 +26,7 @@ import (
 	"lightwsp/internal/cli"
 	"lightwsp/internal/crashfuzz"
 	"lightwsp/internal/experiments"
-	"lightwsp/internal/faults"
 	"lightwsp/internal/metrics"
-	"lightwsp/internal/workload"
 )
 
 // benchReport is the machine-readable summary written by -json: the
@@ -104,7 +102,11 @@ func main() {
 		e := e
 		exps = append(exps, exp{e.Name, false, func() (fmt.Stringer, error) { return e.Run(r) }})
 	}
-	exps = append(exps, exp{"crashfuzz", false, func() (fmt.Stringer, error) { return crashfuzzSmoke(common.Workers, plan) }})
+	exps = append(exps, exp{"crashfuzz", false, func() (fmt.Stringer, error) {
+		return crashfuzz.Smoke(context.Background(), crashfuzz.Config{
+			Faults: plan, Pool: experiments.NewPool(common.Workers),
+		})
+	}})
 	exps = append(exps, exp{"corebench", true, func() (fmt.Stringer, error) {
 		return coreBench(*coreApps, *coreJSON, *coreMinSpeedup)
 	}})
@@ -200,49 +202,4 @@ func coreBench(apps, jsonPath string, minSpeedup float64) (fmt.Stringer, error) 
 			rep.GeomeanSpeedup, minSpeedup)
 	}
 	return rep, nil
-}
-
-// crashfuzzResults renders a batch of crash-consistency campaigns.
-type crashfuzzResults []*crashfuzz.Result
-
-func (rs crashfuzzResults) String() string {
-	s := ""
-	for i, r := range rs {
-		if i > 0 {
-			s += "\n"
-		}
-		s += r.String()
-	}
-	return s
-}
-
-// crashfuzzSmoke runs the exhaustive crash-consistency smoke campaigns: every
-// cycle of each miniature fuzz profile is a power-cut point, with a two-cut
-// pass over the single-threaded profile to cover failure during recovery. An
-// enabled fault plan (-faults) additionally subjects every replay segment to
-// persist-fabric faults; the oracle stays fault-free. Any divergence is an
-// error — the harness's job in the bench grid is to prove there are none.
-func crashfuzzSmoke(workers int, plan faults.Plan) (fmt.Stringer, error) {
-	pool := experiments.NewPool(workers)
-	var out crashfuzzResults
-	for _, p := range workload.FuzzSmokeProfiles() {
-		for cuts := 1; cuts <= 2; cuts++ {
-			res, err := crashfuzz.Run(crashfuzz.Config{
-				Profile: p,
-				Cuts:    cuts,
-				Seed:    1,
-				Faults:  plan,
-				Pool:    pool,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if res.Divergences > 0 {
-				return nil, fmt.Errorf("crashfuzz: %s/%s (%d cuts): %d divergence(s)",
-					p.Suite, p.Name, cuts, res.Divergences)
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
 }

@@ -23,7 +23,6 @@ import (
 	"lightwsp/internal/metrics"
 	"lightwsp/internal/probe"
 	"lightwsp/internal/recovery"
-	"lightwsp/internal/trace"
 	"lightwsp/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func main() {
 	failAt := flag.Float64("fail-at", 0.5, "power-failure point as a fraction of the run")
 	threads := flag.Int("threads", 0, "thread count override (0 = workload default)")
 	verbose := flag.Bool("v", false, "print compiler and run statistics")
-	traceOrder := flag.Bool("trace", false, "record the persist-order trace and verify the LRPO invariant")
+	traceOrder := flag.Bool("trace", false, "verify the LRPO region order over every WPQ→PM write")
 	timeline := flag.String("timeline", "", "write the clean run's cycle-level timeline as Chrome trace-event JSON (load in Perfetto)")
 	showMetrics := flag.Bool("metrics", false, "print the clean run's probe-metrics counters and histograms")
 	flag.Parse()
@@ -85,14 +84,14 @@ func run(suite, app string, failAt float64, threads int, verbose, traceOrder boo
 	if err != nil {
 		return err
 	}
-	var tr *trace.PersistTrace
-	if traceOrder {
-		tr = trace.New(0)
-		sys.SetPersistTrace(tr)
-	}
+	var order *probe.PersistOrder
 	var tl *probe.Timeline
 	var met *metrics.Metrics
 	var sinks []probe.Sink
+	if traceOrder {
+		order = probe.NewPersistOrder(cfg.NumMCs)
+		sinks = append(sinks, order)
+	}
 	if timeline != "" {
 		tl = probe.NewTimeline(0)
 		sinks = append(sinks, tl)
@@ -110,12 +109,9 @@ func run(suite, app string, failAt float64, threads int, verbose, traceOrder boo
 	clean := sys
 	fmt.Printf("clean run %d cycles, %d instructions, %d regions persisted\n",
 		clean.Stats.Cycles, clean.Stats.Instructions, clean.Stats.RegionsClosed)
-	if tr != nil {
-		// The summary (including any dropped-event count) always prints;
-		// verification then refuses a capped trace rather than passing on
-		// an incomplete prefix.
-		fmt.Printf("          %s\n", tr.Summary())
-		if err := tr.VerifyRegionOrder(cfg.NumMCs); err != nil {
+	if order != nil {
+		fmt.Printf("          %s\n", order.Summary())
+		if err := order.Err(); err != nil {
 			return fmt.Errorf("persist-order invariant violated: %w", err)
 		}
 		fmt.Println("          LRPO region order verified")

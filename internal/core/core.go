@@ -135,6 +135,8 @@ func (rt *Runtime) Run(ctx context.Context, maxCycles uint64) (*machine.System, 
 
 // CheckpointResult is one planned power failure: the drain report, the
 // durable crash image, and the successor machine already recovered from it.
+//
+// Deprecated: it is Checkpoint's result; see Checkpoint.
 type CheckpointResult struct {
 	// Report is the §IV-F drain summary.
 	Report machine.FailureReport
@@ -154,6 +156,10 @@ type CheckpointResult struct {
 // snapshot point is a real power-failure cut, so resuming from the stored
 // image later replays the identical trajectory the successor ran. sys is
 // dead afterwards; continue on the returned System.
+//
+// Deprecated: call sys.PowerFail, clone sys.PM() as the crash image and
+// Recover from sys.PM() with the report's RegionCounter, as durable
+// sessions do.
 func (rt *Runtime) Checkpoint(sys *machine.System) (*CheckpointResult, error) {
 	rep := sys.PowerFail()
 	img := sys.PM().Clone()
@@ -274,6 +280,9 @@ func recoveryFingerprint(sys *machine.System, threads int) string {
 // failure at failCycle, and checks that the final persisted program data is
 // identical (DESIGN.md invariant 5). It returns the failure-free system for
 // further inspection.
+//
+// Deprecated: call Run and RunWithFailure and compare their persisted
+// images with recovery.VerifyEquivalence (lightwsp.VerifyEquivalence).
 func (rt *Runtime) VerifyCrashConsistency(ctx context.Context, failCycle, maxCycles uint64) (*machine.System, error) {
 	clean, err := rt.Run(ctx, maxCycles)
 	if err != nil {

@@ -244,6 +244,46 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return c.result(outcomes, start)
 }
 
+// SmokeResults is a batch of campaign manifests, rendered one after another.
+type SmokeResults []*Result
+
+func (rs SmokeResults) String() string {
+	s := ""
+	for i, r := range rs {
+		if i > 0 {
+			s += "\n"
+		}
+		s += r.String()
+	}
+	return s
+}
+
+// Smoke runs the crash-consistency smoke set: one- and two-cut campaigns
+// with seed 1 over each workload.FuzzSmokeProfiles profile, every one short
+// enough to be fuzzed at every cycle. base supplies the rest of each
+// campaign's Config (fault plan, pool, verdict cache, cycle bound); its
+// Profile, Cuts and Seed are overridden. Any divergence is an error: the
+// smoke set's job is to prove there are none.
+func Smoke(ctx context.Context, base Config) (SmokeResults, error) {
+	var out SmokeResults
+	for _, p := range workload.FuzzSmokeProfiles() {
+		for cuts := 1; cuts <= 2; cuts++ {
+			cfg := base
+			cfg.Profile, cfg.Cuts, cfg.Seed = p, cuts, 1
+			res, err := RunContext(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			if res.Divergences > 0 {
+				return nil, fmt.Errorf("crashfuzz: %s/%s (%d cuts): %d divergence(s)",
+					p.Suite, p.Name, cuts, res.Divergences)
+			}
+			out = append(out, res)
+		}
+	}
+	return out, nil
+}
+
 // newCampaign resolves the configuration, compiles the workload, runs the
 // oracle and plans the schedules.
 func newCampaign(ctx context.Context, cfg Config) (*campaign, error) {

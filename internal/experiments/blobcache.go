@@ -25,9 +25,10 @@ const quarantineDir = "quarantine"
 // Reads verify the seal. A checksum mismatch — bit rot, a torn write the
 // rename ordering should have prevented, a firmware lie exposed by a power
 // cut — quarantines the file (moved into quarantine/, counted, logged) and
-// reads as a miss, never as data. A file with no seal at all is a legacy
-// pre-seal entry, evicted as stale. Self-healing is the caller's
-// migration-as-cache-miss contract: a miss recomputes or replays.
+// reads as a miss, never as data. A file with no seal at all is a stale
+// entry: it too reads as a miss, and Codec.Load removes it. Self-healing is
+// the caller's migration-as-cache-miss contract: a miss recomputes or
+// replays.
 //
 // Every operation is best-effort: I/O failures degrade to a cache miss,
 // never to an error or a wrong result — but they are counted and logged
@@ -85,8 +86,8 @@ func (c *BlobCache) warn(msg, hash string, err error) {
 
 // ReadJSON decodes the entry named hash into out, reporting whether a
 // valid, integrity-checked JSON document was present. Corrupt entries are
-// quarantined; unsealed (pre-seal legacy) entries are evicted as stale.
-// The caller still validates the decoded contents (schema version,
+// quarantined; any other failed read, an unsealed file included, is a
+// miss. The caller still validates the decoded contents (schema version,
 // embedded key) and Removes stale entries.
 func (c *BlobCache) ReadJSON(hash string, out any) bool {
 	data, err := c.fs.ReadFile(c.path(hash))
@@ -98,10 +99,6 @@ func (c *BlobCache) ReadJSON(hash string, out any) bool {
 	case errors.Is(err, hostfs.ErrCorrupt):
 		c.counters.ChecksumFailures.Add(1)
 		c.quarantine(hash, err)
-		return false
-	case errors.Is(err, hostfs.ErrNotSealed):
-		c.counters.LegacyEvictions.Add(1)
-		c.Remove(hash)
 		return false
 	case err != nil:
 		return false

@@ -36,7 +36,8 @@ func TestCodecMissesNeverError(t *testing.T) {
 // TestCodecMigration proves that every legacy or foreign on-disk format is
 // detected and evicted — never silently mis-read as a current entry. This is
 // the migration contract for the three pre-codec schema versions (flat
-// disk-cache entries, flat verdict entries, run-key version drift).
+// disk-cache entries, flat verdict entries, run-key version drift) and for
+// entries written before blobs were sealed.
 func TestCodecMigration(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -68,6 +69,18 @@ func TestCodecMigration(t *testing.T) {
 				Schema: RunCodec.Schema, Version: RunCodec.Version,
 				Key: "k", Payload: json.RawMessage(`"not an object"`),
 			})
+		}},
+		{"current envelope without a seal", func(b *BlobCache, hash string) {
+			// A current entry in every respect but the integrity seal.
+			raw, err := json.Marshal(codecEnvelope{
+				Schema: RunCodec.Schema, Version: RunCodec.Version,
+				Key: "k", Payload: json.RawMessage(`{"n":1}`),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			os.MkdirAll(b.Dir(), 0o755)
+			os.WriteFile(filepath.Join(b.Dir(), hash+".json"), raw, 0o644)
 		}},
 		{"truncated file", func(b *BlobCache, hash string) {
 			os.MkdirAll(b.Dir(), 0o755)

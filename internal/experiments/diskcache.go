@@ -91,7 +91,6 @@ type ScrubReport struct {
 	Kept                int   `json:"kept"`
 	KeptBytes           int64 `json:"kept_bytes"`
 	Quarantined         int   `json:"quarantined"`
-	RemovedLegacy       int   `json:"removed_legacy"`
 	RemovedStale        int   `json:"removed_stale"`
 	RemovedUnreferenced int   `json:"removed_unreferenced"`
 	RemovedTemp         int   `json:"removed_temp"`
@@ -101,15 +100,16 @@ type ScrubReport struct {
 // Removed is the total number of entries deleted (quarantined entries are
 // moved aside, not deleted, and are counted separately).
 func (r ScrubReport) Removed() int {
-	return r.RemovedLegacy + r.RemovedStale + r.RemovedUnreferenced + r.RemovedTemp + r.RemovedQuota
+	return r.RemovedStale + r.RemovedUnreferenced + r.RemovedTemp + r.RemovedQuota
 }
 
 // ScrubStore walks a blob store, verifies every entry's integrity seal and
-// codec envelope, quarantines detected corruption, removes stale/legacy/
-// orphaned-temp entries, garbage-collects blobs no manifest references, and
-// enforces an optional size quota. It is the offline counterpart of the
-// read-path self-healing in BlobCache: ReadJSON heals entries a live
-// workload touches; scrub heals the ones nothing reads anymore.
+// codec envelope, quarantines detected corruption, removes stale (unsealed
+// or unknown-envelope) and orphaned-temp entries, garbage-collects blobs no
+// manifest references, and enforces an optional size quota. It is the
+// offline counterpart of the read-path self-healing in BlobCache: ReadJSON
+// heals entries a live workload touches; scrub heals the ones nothing reads
+// anymore.
 func ScrubStore(fsys hostfs.FS, dir string, opt ScrubOptions) (ScrubReport, error) {
 	counters := opt.Counters
 	if counters == nil {
@@ -155,8 +155,7 @@ func ScrubStore(fsys hostfs.FS, dir string, opt ScrubOptions) (ScrubReport, erro
 			continue
 		}
 		payload, err := hostfs.UnsealPayload(data, true)
-		switch {
-		case errors.Is(err, hostfs.ErrCorrupt):
+		if errors.Is(err, hostfs.ErrCorrupt) {
 			counters.ChecksumFailures.Add(1)
 			counters.Quarantined.Add(1)
 			rep.Quarantined++
@@ -166,18 +165,10 @@ func ScrubStore(fsys hostfs.FS, dir string, opt ScrubOptions) (ScrubReport, erro
 			}
 			note("quarantined", name, err)
 			continue
-		case errors.Is(err, hostfs.ErrNotSealed):
-			counters.LegacyEvictions.Add(1)
-			if fsys.Remove(p) == nil {
-				rep.RemovedLegacy++
-				note("removed-legacy", name, err)
-			}
-			continue
-		case err != nil:
-			continue
 		}
+		// An unsealed file is as stale as an unknown envelope.
 		var env codecEnvelope
-		if json.Unmarshal(payload, &env) != nil || !knownEnvelope(env) {
+		if err != nil || json.Unmarshal(payload, &env) != nil || !knownEnvelope(env) {
 			if fsys.Remove(p) == nil {
 				rep.RemovedStale++
 				note("removed-stale", name, nil)

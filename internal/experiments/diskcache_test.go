@@ -147,7 +147,7 @@ func TestScrubRemovesStaleEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One stale-version envelope, one unsealed pre-seal legacy entry, one
+	// One stale-version envelope, one unsealed entry (stale too), one
 	// current run envelope and one current verdict envelope.
 	write("stale.json", true, codecEnvelope{Schema: RunCodec.Schema, Version: RunCodec.Version - 1, Key: "old"})
 	write("legacy.json", false, map[string]any{"schema_version": 2, "key": "older", "stats": map[string]any{}})

@@ -62,15 +62,6 @@ func ExperimentByName(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// ExperimentNames returns the registry's names in presentation order.
-func ExperimentNames() []string {
-	var names []string
-	for _, e := range Registry() {
-		names = append(names, e.Name)
-	}
-	return names
-}
-
 // ResolveConfigs derives the effective machine and compiler configurations
 // the Runner would use for profile p: the scaled Table I configuration with
 // the profile's thread count and the §IV-A store-threshold default. Callers

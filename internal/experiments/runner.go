@@ -171,15 +171,6 @@ func (r *Runner) SetWorkers(n int) {
 	r.s.workerPool = nil
 }
 
-// SetPool makes the Runner fan simulations out over a caller-owned pool, so
-// one semaphore can govern the Runner and other workloads (crash-fuzzing
-// campaigns, streaming runs) together. Call before Run.
-func (r *Runner) SetPool(p *Pool) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.s.workerPool = p
-}
-
 // Pool returns the Runner's worker pool, building it on first use.
 func (r *Runner) Pool() *Pool {
 	r.s.mu.Lock()

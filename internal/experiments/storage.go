@@ -16,8 +16,6 @@ type StorageCounters struct {
 	Quarantined atomic.Uint64
 	// ChecksumFailures counts integrity-seal mismatches detected on read.
 	ChecksumFailures atomic.Uint64
-	// LegacyEvictions counts pre-seal artifacts evicted as stale.
-	LegacyEvictions atomic.Uint64
 	// WriteErrors counts failed best-effort blob writes.
 	WriteErrors atomic.Uint64
 	// RemoveErrors counts failed evictions/prunes (previously swallowed).
@@ -39,7 +37,6 @@ var DefaultStorageCounters = &StorageCounters{}
 type StorageSnapshot struct {
 	Quarantined        uint64 `json:"quarantined"`
 	ChecksumFailures   uint64 `json:"checksum_failures"`
-	LegacyEvictions    uint64 `json:"legacy_evictions"`
 	WriteErrors        uint64 `json:"write_errors"`
 	RemoveErrors       uint64 `json:"remove_errors"`
 	Retries            uint64 `json:"retries"`
@@ -53,7 +50,6 @@ func (c *StorageCounters) Snapshot() StorageSnapshot {
 	return StorageSnapshot{
 		Quarantined:        c.Quarantined.Load(),
 		ChecksumFailures:   c.ChecksumFailures.Load(),
-		LegacyEvictions:    c.LegacyEvictions.Load(),
 		WriteErrors:        c.WriteErrors.Load(),
 		RemoveErrors:       c.RemoveErrors.Load(),
 		Retries:            c.Retries.Load(),

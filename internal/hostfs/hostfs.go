@@ -21,8 +21,8 @@
 //     the style of internal/faults.
 //
 // WithRetry composes over any of them, retrying transient failures with
-// bounded backoff — the first rung of the durable layer's degradation
-// ladder.
+// bounded backoff. Only the diskfuzz campaign composes it: production code
+// retries where it writes, inside blob writes and journal appends.
 package hostfs
 
 import (

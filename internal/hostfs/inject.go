@@ -52,21 +52,11 @@ type Injector struct {
 	// (campaigns pass a no-op to keep wall time down while still
 	// exercising the slow path's decision points).
 	Sleep func(time.Duration)
-
-	enospcs atomic.Uint64
-	eios    atomic.Uint64
-	shorts  atomic.Uint64
-	slows   atomic.Uint64
 }
 
 // Inject wraps inner with the plan's operation-level fault dimensions.
 func Inject(inner FS, plan Plan) *Injector {
 	return &Injector{inner: inner, plan: plan}
-}
-
-// Counts reports how many faults of each kind have been injected.
-func (in *Injector) Counts() (enospc, eio, short, slow uint64) {
-	return in.enospcs.Load(), in.eios.Load(), in.shorts.Load(), in.slows.Load()
 }
 
 // decide rolls one hashed percentage decision, advancing the counter.
@@ -83,7 +73,6 @@ func (in *Injector) maybeSlow(op uint64) {
 	if _, hit := in.decide(op, in.plan.SlowPct); !hit {
 		return
 	}
-	in.slows.Add(1)
 	d := time.Duration(1+mix(uint64(in.plan.Seed), op, in.nonce.Load())%uint64(max(in.plan.SlowMaxMs, 1))) * time.Millisecond
 	if in.Sleep != nil {
 		in.Sleep(d)
@@ -94,7 +83,6 @@ func (in *Injector) maybeSlow(op uint64) {
 
 func (in *Injector) enospc(op uint64, name, what string) error {
 	if _, hit := in.decide(op, in.plan.ENOSPCPct); hit {
-		in.enospcs.Add(1)
 		return &FaultError{Op: what, Path: name, Err: syscall.ENOSPC}
 	}
 	return nil
@@ -102,7 +90,6 @@ func (in *Injector) enospc(op uint64, name, what string) error {
 
 func (in *Injector) eio(op uint64, name, what string) error {
 	if _, hit := in.decide(op, in.plan.EIOPct); hit {
-		in.eios.Add(1)
 		return &FaultError{Op: what, Path: name, Err: syscall.EIO}
 	}
 	return nil
@@ -231,7 +218,6 @@ func (f *injFile) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	if n, hit := f.in.decide(opWrite, f.in.plan.ShortPct); hit && len(p) > 0 {
-		f.in.shorts.Add(1)
 		keep := int(mix(uint64(f.in.plan.Seed), opWrite, n, 7) % uint64(len(p)))
 		wrote, _ := f.inner.Write(p[:keep])
 		return wrote, &FaultError{Op: "write", Path: f.inner.Name(), Err: syscall.EIO}

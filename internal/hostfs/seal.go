@@ -14,8 +14,7 @@ import (
 //     "%lightwsp-seal v1 crc32c=xxxxxxxx len=N" followed by the payload.
 //     Every blob-cache entry is stored sealed; a reader that finds a
 //     mismatching checksum or length quarantines the file instead of
-//     trusting it, and a file with no header at all is a legacy
-//     (pre-seal) entry to evict as stale.
+//     trusting it, and a file with no header at all is a stale entry.
 //
 //   - Line seal (SealLine/UnsealLine): "xxxxxxxx <record>" — an 8-hex
 //     CRC-32C prefix on each write-ahead journal record, so a bit flip
@@ -28,8 +27,9 @@ import (
 
 // Seal errors, distinguishable with errors.Is.
 var (
-	// ErrNotSealed reports a file or line with no integrity envelope — a
-	// legacy artifact from before sealing (readers evict it as stale).
+	// ErrNotSealed reports a file or line with no integrity envelope: a
+	// blob readers treat as stale, or a journal record from before
+	// sealing.
 	ErrNotSealed = errors.New("hostfs: no integrity seal")
 	// ErrCorrupt reports a sealed artifact whose checksum or length does
 	// not match its payload — detected corruption (readers quarantine it).

@@ -40,6 +40,9 @@ func (b *Builder) Func(name string) int {
 }
 
 // SetEntry marks function index fi as the program entry point.
+//
+// Deprecated: the first function declared with Func is the entry point;
+// declare the entry function first.
 func (b *Builder) SetEntry(fi int) { b.prog.Entry = fi }
 
 // NewBlock appends a fresh block to the current function, makes it current,

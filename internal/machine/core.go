@@ -63,12 +63,6 @@ type ThreadState struct {
 	SP   uint64
 }
 
-// Halted reports whether the thread finished.
-func (c *Core) Halted() bool { return c.halted }
-
-// Outstanding returns the core's unflushed persist entries.
-func (c *Core) Outstanding() int { return c.outstanding }
-
 // opReady reports whether every source register of in is available.
 func (c *Core) opReady(in *isa.Instr, now uint64) bool {
 	var buf [8]isa.Reg

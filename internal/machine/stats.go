@@ -92,6 +92,9 @@ func (s *Stats) L1MissRate() float64 {
 
 // ConflictRate returns buffer-snooping conflicts per mille of searches
 // (Table II's metric).
+//
+// Deprecated: divide SnoopConflicts by SnoopSearches, as the Table II
+// driver does.
 func (s *Stats) ConflictRate() float64 {
 	if s.SnoopSearches == 0 {
 		return 0
@@ -100,6 +103,9 @@ func (s *Stats) ConflictRate() float64 {
 }
 
 // WPQHitsPerMInst returns WPQ load hits per million instructions (Fig. 18).
+//
+// Deprecated: divide WPQCAMHits by Instructions, as the Fig. 18 driver
+// does.
 func (s *Stats) WPQHitsPerMInst() float64 {
 	if s.Instructions == 0 {
 		return 0

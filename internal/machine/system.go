@@ -10,7 +10,6 @@ import (
 	"lightwsp/internal/noc"
 	"lightwsp/internal/persistpath"
 	"lightwsp/internal/probe"
-	"lightwsp/internal/trace"
 	"lightwsp/internal/wpq"
 	"lightwsp/internal/wsperr"
 )
@@ -52,9 +51,6 @@ type System struct {
 	// (0 = not stuck); degradedMC[mc] marks controllers declared degraded.
 	stuckSince []uint64
 	degradedMC []bool
-
-	// ptrace, when set, records every WPQ→PM write (SetPersistTrace).
-	ptrace *trace.PersistTrace
 
 	// probe, when set, receives cycle-level instrumentation events
 	// (SetProbeSink); nil keeps every emit site to a single branch.
@@ -269,6 +265,9 @@ func (s *System) nextRegion() uint64 {
 }
 
 // NextRegionID returns the next region ID the counter would hand out.
+//
+// Deprecated: a cut's FailureReport carries the region counter
+// (RegionCounter); the next ID is one more.
 func (s *System) NextRegionID() uint64 { return s.regionCounter + 1 }
 
 func (s *System) pmWrite(addr, val uint64) { s.pm.Write(addr, val) }
@@ -287,17 +286,7 @@ func (s *System) onFlush(mcID int, e wpq.Entry) {
 			Core: e.Core, MC: mcID, Region: e.Region, Addr: e.Addr,
 			Arg: uint64(s.mcs[mcID].q.Len() + 1)})
 	}
-	if s.ptrace != nil {
-		s.ptrace.Record(trace.PMWrite{
-			Cycle: s.cycle, MC: mcID, Addr: e.Addr, Val: e.Val,
-			Region: e.Region, Core: e.Core, Boundary: e.Boundary,
-		})
-	}
 }
-
-// SetPersistTrace attaches a persist-order trace; every subsequent WPQ→PM
-// write is recorded. Pass nil to detach.
-func (s *System) SetPersistTrace(t *trace.PersistTrace) { s.ptrace = t }
 
 // SetFaultInjector attaches a persist-fabric fault injector: the NoC starts
 // consulting it on every message and the WPQs arm their reliable-delivery
@@ -316,6 +305,8 @@ func (s *System) SetFaultInjector(inj *faults.Injector) {
 }
 
 // FaultInjector returns the attached injector (nil when fault-free).
+//
+// Deprecated: keep the injector passed to SetFaultInjector.
 func (s *System) FaultInjector() *faults.Injector { return s.inj }
 
 // Degraded reports whether controller mc was declared degraded.
@@ -406,7 +397,9 @@ func (s *System) PM() *mem.Image { return s.pm }
 // Prog returns the program the machine runs (after any load-time stripping).
 func (s *System) Prog() *isa.Program { return s.prog }
 
-// Scheme returns the persistence scheme.
+// SchemeInfo returns the persistence scheme.
+//
+// Deprecated: use the Scheme the machine was built with (Runtime.Sch).
 func (s *System) SchemeInfo() Scheme { return s.scheme }
 
 // Done reports whether execution and persistence both finished: all threads

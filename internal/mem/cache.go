@@ -69,9 +69,6 @@ func NewCache(sizeBytes, ways int) *Cache {
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) set(lineAddr uint64) []cacheLine {
 	idx := int((lineAddr / LineSize) % uint64(c.sets))
 	return c.lines[idx*c.ways : (idx+1)*c.ways]

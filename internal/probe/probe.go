@@ -1,9 +1,10 @@
 // Package probe is the machine's cycle-level instrumentation layer: a
 // low-overhead event sink that the simulator components (core, persist
 // path, WPQ, power-failure protocol) emit typed events into. Consumers —
-// the Chrome-trace timeline exporter (timeline.go) and the metrics layer
-// (internal/metrics) — implement Sink and reconstruct whatever view they
-// need from the event stream.
+// the Chrome-trace timeline exporter (timeline.go), the persist-order
+// checker (persistorder.go) and the metrics layer (internal/metrics) —
+// implement Sink and reconstruct whatever view they need from the event
+// stream.
 //
 // The design constraint is that an unobserved simulation pays almost
 // nothing: emitters hold a Sink field that is nil by default, every emit

@@ -436,46 +436,11 @@ func (s *Server) experimentByName(ctx context.Context, name string) (func() (fmt
 		return func() (fmt.Stringer, error) { return e.Run(r) }, true
 	}
 	if name == "crashfuzz" {
-		return func() (fmt.Stringer, error) { return s.crashfuzzSmoke(ctx) }, true
+		return func() (fmt.Stringer, error) {
+			return crashfuzz.Smoke(ctx, crashfuzz.Config{
+				MaxCycles: s.cfg.MaxRunCycles, Pool: s.pool, Cache: s.blobs,
+			})
+		}, true
 	}
 	return nil, false
-}
-
-// crashfuzzSmoke mirrors lightwsp-bench's crashfuzz experiment: exhaustive
-// one- and two-cut campaigns over the miniature fuzz profiles, any
-// divergence an error.
-func (s *Server) crashfuzzSmoke(ctx context.Context) (fmt.Stringer, error) {
-	var out crashfuzzResults
-	for _, p := range workload.FuzzSmokeProfiles() {
-		for cuts := 1; cuts <= 2; cuts++ {
-			res, err := crashfuzz.RunContext(ctx, crashfuzz.Config{
-				Profile: p, Cuts: cuts, Seed: 1,
-				MaxCycles: s.cfg.MaxRunCycles,
-				Pool:      s.pool, Cache: s.blobs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if res.Divergences > 0 {
-				return nil, fmt.Errorf("crashfuzz: %s/%s (%d cuts): %d divergence(s)",
-					p.Suite, p.Name, cuts, res.Divergences)
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
-// crashfuzzResults renders a batch of campaigns one per line.
-type crashfuzzResults []*crashfuzz.Result
-
-func (rs crashfuzzResults) String() string {
-	s := ""
-	for i, r := range rs {
-		if i > 0 {
-			s += "\n"
-		}
-		s += r.String()
-	}
-	return s
 }

@@ -300,12 +300,6 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	for _, sess := range sessions {
 		out = append(out, sess.Status())
 	}
-	// Sessions() returns map order; sort for a stable listing.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 	writeJSON(w, http.StatusOK, SessionListResponse{Sessions: out})
 }
 

@@ -264,6 +264,30 @@ func TestSessionHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestSessionHTTPListSortedByID: GET /v1/session lists the open sessions in
+// ID order, whatever order they were created in.
+func TestSessionHTTPListSortedByID(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, SessionDir: t.TempDir()})
+	for _, id := range []string{"delta", "alpha", "foxtrot", "charlie", "echo", "bravo"} {
+		req := sessionSpec
+		req.ID = id
+		if status, body, _ := post(t, ts.URL+"/v1/session", req); status != http.StatusCreated {
+			t.Fatalf("create %s: status %d: %s", id, status, body)
+		}
+	}
+	var listed SessionListResponse
+	if got := get(t, ts.URL+"/v1/session", &listed); got != http.StatusOK {
+		t.Fatalf("list: status %d", got)
+	}
+	var ids []string
+	for _, st := range listed.Sessions {
+		ids = append(ids, st.ID)
+	}
+	if got, want := strings.Join(ids, ","), "alpha,bravo,charlie,delta,echo,foxtrot"; got != want {
+		t.Fatalf("listing order %s, want %s", got, want)
+	}
+}
+
 // TestSessionHTTPBusyConflict: while one operation holds a session, advance
 // and delete answer 409 and leave the running operation untouched.
 func TestSessionHTTPBusyConflict(t *testing.T) {

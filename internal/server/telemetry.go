@@ -167,7 +167,6 @@ func (s *Server) WriteProm(w io.Writer) error {
 	sc := s.storage.Snapshot()
 	counter("lightwsp_storage_quarantined_total", "Corrupt artifacts moved aside (blobs and journal tails).", float64(sc.Quarantined))
 	counter("lightwsp_storage_checksum_failures_total", "Integrity-seal mismatches detected on read.", float64(sc.ChecksumFailures))
-	counter("lightwsp_storage_legacy_evictions_total", "Pre-seal artifacts evicted as stale.", float64(sc.LegacyEvictions))
 	counter("lightwsp_storage_write_errors_total", "Best-effort blob writes that failed.", float64(sc.WriteErrors))
 	counter("lightwsp_storage_remove_errors_total", "Blob evictions and prunes that failed.", float64(sc.RemoveErrors))
 	counter("lightwsp_storage_retries_total", "Transient-I/O retries on durable writes.", float64(sc.Retries))

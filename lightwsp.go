@@ -41,10 +41,10 @@
 // # API stability
 //
 // Open, its options, and the context-taking Runtime methods are the stable,
-// documented entry points. The positional constructors New and NewSystem are
-// deprecated wrappers kept for one release so existing callers migrate
-// incrementally; CI runs apidiff against the main branch, so any change to
-// this façade's exported surface is flagged in review.
+// documented entry points. A name leaving this façade is first marked
+// Deprecated, naming its replacement, and removed a release later, so
+// callers migrate incrementally; CI runs apidiff against the main branch, so
+// any change to this façade's exported surface is flagged in review.
 package lightwsp
 
 import (
@@ -201,14 +201,6 @@ func Open(prog *Program, opts ...Option) (*Runtime, error) {
 	return core.NewRuntimeFor(prog, o.ccfg, o.cfg, o.sch, probe.Multi(o.sinks...))
 }
 
-// New compiles prog for LightWSP and returns a Runtime. A zero ccfg uses
-// the paper's compiler defaults.
-//
-// Deprecated: use Open with WithCompiler and WithConfig.
-func New(prog *Program, ccfg CompilerConfig, cfg Config) (*Runtime, error) {
-	return Open(prog, WithCompiler(ccfg), WithConfig(cfg))
-}
-
 // Compile runs only the LightWSP compiler (region partitioning +
 // checkpointing) without building a machine.
 func Compile(prog *Program, ccfg CompilerConfig) (*CompileResult, error) {
@@ -242,15 +234,6 @@ var (
 	NaiveSfenceScheme = baseline.NaiveSfence
 )
 
-// NewSystem boots a machine running prog under an arbitrary scheme —
-// the low-level entry the comparison schemes use.
-//
-// Deprecated: use Open with WithScheme, then Runtime.NewSystem (or
-// Runtime.Run, which boots and runs in one step).
-func NewSystem(prog *Program, cfg Config, sch Scheme) (*System, error) {
-	return machine.NewSystem(prog, cfg, sch)
-}
-
 // VerifyEquivalence checks that two final persisted images agree on all
 // program data — the crash-consistency acceptance test.
 func VerifyEquivalence(got, want *Image) error {
@@ -275,16 +258,9 @@ func BuildWorkload(p WorkloadProfile) (*Program, error) { return workload.Build(
 // corrupt or truncated entry reads as a miss, never as wrong data.
 type Store = experiments.Store
 
-// BlobCache is the concrete disk-backed Store implementation.
-//
-// Deprecated: hold the Store interface and construct with NewDiskStore;
-// the concrete type remains for callers that need its extended surface
-// (scrubbing, lease arbitration, raw sealed I/O).
-type BlobCache = experiments.BlobCache
-
 // NewDiskStore opens the disk-backed Store rooted at dir: one CRC-sealed,
 // content-addressed file per entry, corrupt entries quarantined on read.
-func NewDiskStore(dir string) *BlobCache { return experiments.NewBlobCache(dir) }
+func NewDiskStore(dir string) Store { return experiments.NewBlobCache(dir) }
 
 // NewTieredStore stacks two stores: reads try l1 then fall through to l2
 // (promoting hits into l1), writes go to both. This is the fleet cache

@@ -105,7 +105,11 @@ func TestFacadeSchemesRun(t *testing.T) {
 	for _, sch := range []lightwsp.Scheme{
 		lightwsp.BaselineScheme(), lightwsp.PSPIdealScheme(), lightwsp.PPAScheme(),
 	} {
-		sys, err := lightwsp.NewSystem(p, lightwsp.DefaultConfig(), sch)
+		rt, err := lightwsp.Open(p, lightwsp.WithScheme(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := rt.NewSystem()
 		if err != nil {
 			t.Fatal(err)
 		}
