@@ -276,6 +276,11 @@ func TestCrashfuzz(t *testing.T) {
 	if res.Divergences != 0 {
 		t.Fatalf("lightwsp diverged under crash fuzzing: %+v", res)
 	}
+	// Every cycle of fuzz-st is a schedule, and far fewer are distinct
+	// crash states.
+	if res.SharedTails == 0 {
+		t.Fatalf("no shared tails reported over %d schedules: %+v", res.CyclesCovered, res)
+	}
 	var round map[string]any
 	if err := json.Unmarshal(res.Raw, &round); err != nil {
 		t.Fatalf("raw result not JSON: %v", err)

@@ -106,16 +106,19 @@ type CrashfuzzResult struct {
 	Cuts    int    `json:"cuts"`
 	Seed    int64  `json:"seed"`
 	// Faults names the fault-injection plan, when one was active.
-	Faults            string   `json:"faults,omitempty"`
-	OracleCycles      uint64   `json:"oracle_cycles"`
-	OracleHash        string   `json:"oracle_hash"`
-	CyclesCovered     int      `json:"cycles_covered"`
-	InterestingCycles int      `json:"interesting_cycles"`
-	Injections        int      `json:"injections"`
-	CacheHits         int      `json:"cache_hits"`
-	Divergences       int      `json:"divergences"`
-	ReproPaths        []string `json:"repro_paths,omitempty"`
-	Raw               []byte   `json:"-"`
+	Faults            string `json:"faults,omitempty"`
+	OracleCycles      uint64 `json:"oracle_cycles"`
+	OracleHash        string `json:"oracle_hash"`
+	CyclesCovered     int    `json:"cycles_covered"`
+	InterestingCycles int    `json:"interesting_cycles"`
+	Injections        int    `json:"injections"`
+	CacheHits         int    `json:"cache_hits"`
+	// SharedTails counts schedules that took the outcome of an earlier
+	// schedule with the same crash state instead of running their own tail.
+	SharedTails int      `json:"shared_tails"`
+	Divergences int      `json:"divergences"`
+	ReproPaths  []string `json:"repro_paths,omitempty"`
+	Raw         []byte   `json:"-"`
 }
 
 // Crashfuzz runs one crash-consistency fuzzing campaign: POST /v1/crashfuzz.

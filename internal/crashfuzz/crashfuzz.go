@@ -28,6 +28,19 @@
 // program. Replay — a from-cycle-0 prefix followed by the same tail —
 // remains the path for shrinking and for repro files.
 //
+// Schedules also share their tails. LightWSP persists regions
+// all-or-nothing and in flush-ID order, so a run's crash images are its
+// persisted-region prefixes, far fewer than its cycles, and many first cuts
+// leave the same one. A tail is a function of the crash image, the region
+// counter recovery seeds fresh IDs above, and the later cuts: recovery reads
+// nothing else of the failed machine, every recovered segment gets a fresh
+// injector of the campaign's fault plan, and the runtime and the cycle bound
+// are campaign-wide. So the walker keys each image by (hash, region counter,
+// later cuts), hands only the first schedule of a key to a worker, and once
+// the workers have drained gives every later schedule of that key the first
+// one's outcome. Sharing is off while CorruptPM is set, as the verdict cache
+// is: a corrupting hook need not treat equal images alike.
+//
 // Failing schedules are shrunk (shrink.go) to a minimal reproducer and
 // serialized as self-contained JSON repro files (repro.go) that
 // `lightwsp-crashfuzz -replay` re-executes deterministically.
@@ -154,10 +167,14 @@ type Result struct {
 	CyclesCovered int `json:"cycles_covered"`
 	// InterestingCycles counts probe-guided injection points.
 	InterestingCycles int `json:"interesting_cycles"`
-	// Injections counts power cuts actually fired across all replays;
-	// CacheHits counts schedules skipped via memoized passing verdicts.
-	Injections int `json:"injections"`
-	CacheHits  int `json:"cache_hits"`
+	// Injections counts power cuts fired across all schedules and shrink
+	// replays, a sharer's being its representative's cut for cut; CacheHits
+	// counts schedules skipped via memoized passing verdicts; SharedTails
+	// counts schedules that took the outcome of an earlier schedule with the
+	// same crash state instead of running their own recovery tail.
+	Injections  int `json:"injections"`
+	CacheHits   int `json:"cache_hits"`
+	SharedTails int `json:"shared_tails"`
 	// Divergences counts schedules whose final state differed from the
 	// oracle; Repros holds their shrunk reproducers.
 	Divergences int      `json:"divergences"`
@@ -185,6 +202,7 @@ func (r *Result) String() string {
 	t.Add("probe-guided cycles", r.InterestingCycles)
 	t.Add("injections fired", r.Injections)
 	t.Add("cached verdicts", r.CacheHits)
+	t.Add("shared tails", r.SharedTails)
 	t.Add("divergences", r.Divergences)
 	t.Add("injections/sec", fmt.Sprintf("%.0f", r.InjectionsPerSec))
 	return t.String()
@@ -204,6 +222,9 @@ type campaign struct {
 	mode        string
 	interesting int
 	pool        *experiments.Pool
+	// brokenKey, test-only, drops the later cuts from the tail key, so
+	// schedules that differ only after their first cut share a tail.
+	brokenKey bool
 
 	mu       sync.Mutex
 	done     int
@@ -357,11 +378,23 @@ type handoff struct {
 	finished *machine.System
 }
 
+// tailKey identifies a schedule's recovery tail: the hash of its first
+// cut's crash image, the region counter recovery seeds fresh IDs above, and
+// the later cuts. Everything else a tail reads is campaign-wide.
+type tailKey struct {
+	image, regions uint64
+	later          string
+}
+
+// sharer is a schedule whose tail is that of the earlier schedule rep.
+type sharer struct{ i, rep int }
+
 // walk resolves every schedule. The walker steps one machine through the
 // first cuts and hands each crash image over an unbuffered channel, so at
 // most one image waits; one worker per pool slot takes it, recovers,
 // applies the later cuts, runs to completion and takes the verdict exactly
-// as a Replay would. It returns once every worker has drained the channel.
+// as a Replay would. Once every worker has drained the channel, each sharer
+// takes its representative's outcome.
 func (c *campaign) walk(ctx context.Context) ([]outcome, error) {
 	outcomes := make([]outcome, len(c.scheds))
 	work := make(chan handoff)
@@ -377,9 +410,12 @@ func (c *campaign) walk(ctx context.Context) ([]outcome, error) {
 			}
 		}()
 	}
-	err := c.step(ctx, outcomes, work)
+	sharers, err := c.step(ctx, outcomes, work)
 	close(work)
 	wg.Wait()
+	for _, sh := range sharers {
+		outcomes[sh.i] = c.share(c.scheds[sh.i], outcomes[sh.rep])
+	}
 	return outcomes, err
 }
 
@@ -387,10 +423,14 @@ func (c *campaign) walk(ctx context.Context) ([]outcome, error) {
 // so it never competes with its own workers for a slot, and it visits the
 // schedules in plan order — ascending first cuts — stepping its machine
 // from one first cut to the next and taking each crash image without
-// cutting power. Cached verdicts are recorded without an image. The machine
-// is dropped when step returns, after the last first cut.
-func (c *campaign) step(ctx context.Context, outcomes []outcome, work chan<- handoff) error {
+// cutting power. Cached verdicts are recorded without an image. A schedule
+// whose tail key an earlier one already holds is not handed over but
+// returned as that one's sharer. The machine is dropped when step returns,
+// after the last first cut.
+func (c *campaign) step(ctx context.Context, outcomes []outcome, work chan<- handoff) ([]sharer, error) {
 	var sys *machine.System
+	var sharers []sharer
+	reps := map[tailKey]int{}
 	finished := false
 	for i, sched := range c.scheds {
 		if o, ok := c.cached(sched); ok {
@@ -401,32 +441,43 @@ func (c *campaign) step(ctx context.Context, outcomes []outcome, work chan<- han
 		if sys == nil {
 			var err error
 			if sys, err = c.rt.NewSystem(); err != nil {
-				return err
+				return nil, err
 			}
 			sys.SetFaultInjector(faults.New(c.cfg.Faults))
 		}
 		h := handoff{i: i}
 		if !finished {
 			if sched[0] < sys.Cycle() {
-				return fmt.Errorf("crashfuzz: schedule %v planned after a cut at cycle %d", sched, sys.Cycle())
+				return nil, fmt.Errorf("crashfuzz: schedule %v planned after a cut at cycle %d", sched, sys.Cycle())
 			}
 			var err error
 			if finished, err = sys.RunUntilContext(ctx, sched[0]); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if finished {
 			h.finished = sys
 		} else {
 			h.pm, h.rep = sys.CrashImage()
+			if c.cfg.CorruptPM == nil { // a corrupting hook need not treat equal images alike
+				k := tailKey{h.pm.Hash(), h.rep.RegionCounter, sched[1:].String()}
+				if c.brokenKey {
+					k.later = ""
+				}
+				if rep, ok := reps[k]; ok {
+					sharers = append(sharers, sharer{i, rep})
+					continue
+				}
+				reps[k] = i
+			}
 		}
 		select {
 		case work <- h:
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
-	return nil
+	return sharers, nil
 }
 
 // result assembles the campaign manifest from the schedules' outcomes and
@@ -454,10 +505,13 @@ func (c *campaign) result(outcomes []outcome, start time.Time) (*Result, error) 
 		if o.err != nil {
 			return nil, fmt.Errorf("crashfuzz: schedule %v: %w", c.scheds[i], o.err)
 		}
-		res.Injections += o.fired
+		res.Injections += o.fired + o.shrinkCuts
 		res.ShrinkReplays += o.shrinkReplays
 		if o.cached {
 			res.CacheHits++
+		}
+		if o.shared {
+			res.SharedTails++
 		}
 		if o.repro != nil {
 			res.Divergences++
@@ -473,18 +527,21 @@ func (c *campaign) result(outcomes []outcome, start time.Time) (*Result, error) 
 	if err := writeArtifacts(c.cfg.OutDir, res); err != nil {
 		return nil, err
 	}
-	c.progress(fmt.Sprintf("crashfuzz %s/%s: %s over %d schedules, %d injections (%d cached), %d divergences, %.1fs",
-		p.Suite, p.Name, c.mode, len(c.scheds), res.Injections, res.CacheHits, res.Divergences, res.WallSeconds))
+	c.progress(fmt.Sprintf("crashfuzz %s/%s: %s over %d schedules, %d injections (%d cached, %d shared), %d divergences, %.1fs",
+		p.Suite, p.Name, c.mode, len(c.scheds), res.Injections, res.CacheHits, res.SharedTails, res.Divergences, res.WallSeconds))
 	return res, nil
 }
 
-// outcome is one schedule's resolution.
+// outcome is one schedule's resolution. fired counts the cuts of its tail,
+// for a sharer its representative's; shrinkCuts and shrinkReplays count the
+// cuts and replays spent shrinking its divergence.
 type outcome struct {
-	cached        bool
-	fired         int
-	shrinkReplays int
-	repro         *Repro
-	err           error
+	cached, shared bool
+	fired          int
+	shrinkCuts     int
+	shrinkReplays  int
+	repro          *Repro
+	err            error
 }
 
 // resolve runs one handed-off schedule to its verdict.
@@ -532,24 +589,47 @@ func (c *campaign) judge(sched Schedule, rep *ReplayResult) outcome {
 	if verr := verdict(rep.Sys, c.orc, c.mcfg.Threads); verr != nil {
 		return c.diverge(sched, rep, verr)
 	}
+	c.store(sched, rep.Fired)
+	return outcome{fired: rep.Fired}
+}
+
+// share resolves a sharer from its representative's outcome o: the same
+// error, or the same verdict, a pass memoized under the sharer's own key or
+// a divergence carrying the representative's shrunk reproducer. The shrink
+// replays ran once, for the representative, and count there alone.
+func (c *campaign) share(sched Schedule, o outcome) outcome {
+	defer c.tick()
+	if o.err != nil {
+		return outcome{err: o.err}
+	}
+	if o.repro != nil {
+		c.mu.Lock()
+		c.diverged++
+		c.mu.Unlock()
+	} else {
+		c.store(sched, o.fired)
+	}
+	return outcome{shared: true, fired: o.fired, repro: o.repro}
+}
+
+// store memoizes sched's passing verdict, when verdicts are memoized.
+func (c *campaign) store(sched Schedule, fired int) {
 	if c.useCache() {
 		vkey, vhash := c.verdictKey(sched)
-		experiments.VerdictCodec.Store(c.cfg.Cache, vhash, vkey, verdictEntry{Fired: rep.Fired})
+		experiments.VerdictCodec.Store(c.cfg.Cache, vhash, vkey, verdictEntry{Fired: fired})
 	}
-	return outcome{fired: rep.Fired}
 }
 
 // diverge shrinks a failing schedule — first the cut cycles, then the fault
 // plan's knobs — and packages the minimal reproducer.
 func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcome {
-	fired := rep.Fired
-	probes := 0
+	shrinkCuts, probes := 0, 0
 	failsWith := func(s Schedule, plan faults.Plan) bool {
 		r, err := Replay(c.rt, s, c.maxCycles, c.cfg.CorruptPM, plan)
 		if err != nil {
 			return false // a broken replay is not a reproduction
 		}
-		fired += r.Fired
+		shrinkCuts += r.Fired
 		return verdict(r.Sys, c.orc, c.mcfg.Threads) != nil
 	}
 	minimal, n := Shrink(sched, func(s Schedule) bool {
@@ -571,7 +651,8 @@ func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcom
 	c.diverged++
 	c.mu.Unlock()
 	return outcome{
-		fired:         fired,
+		fired:         rep.Fired,
+		shrinkCuts:    shrinkCuts,
 		shrinkReplays: probes,
 		repro: &Repro{
 			SchemaVersion: ReproSchemaVersion,

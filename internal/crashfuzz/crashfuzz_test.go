@@ -83,6 +83,43 @@ func TestMultiCutCampaignPasses(t *testing.T) {
 	}
 }
 
+// TestSmokeTailCounts pins how many schedules the exhaustive smoke
+// campaigns plan and how many distinct recovery tails they run. Both are
+// simulated behaviour, like the oracle, so they do not drift with host
+// speed; a change meant to alter what the machine does updates them.
+func TestSmokeTailCounts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exhaustive campaign too slow under -race")
+	}
+	if testing.Short() {
+		t.Skip("exhaustive campaign skipped in -short mode")
+	}
+	res, err := Smoke(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		app              string
+		cuts             int
+		schedules, tails int
+	}{
+		{"fuzz-st", 1, 2405, 45},
+		{"fuzz-st", 2, 2405, 1755},
+		{"fuzz-mt", 1, 770, 81},
+		{"fuzz-mt", 2, 770, 591},
+	}
+	if len(res) != len(want) {
+		t.Fatalf("smoke set ran %d campaigns, want %d", len(res), len(want))
+	}
+	for i, w := range want {
+		r := res[i]
+		if r.App != w.app || r.Cuts != w.cuts || r.CyclesCovered != w.schedules || r.CyclesCovered-r.SharedTails != w.tails {
+			t.Errorf("%s, %d cut(s): %d schedules, %d distinct tails; want %s, %d cut(s): %d schedules, %d tails",
+				r.App, r.Cuts, r.CyclesCovered, r.CyclesCovered-r.SharedTails, w.app, w.cuts, w.schedules, w.tails)
+		}
+	}
+}
+
 // TestBrokenRecoveryCaughtAndShrunk wires in an intentionally broken
 // recovery — the accumulator's checkpoint slot is corrupted in every crash
 // image — and demands the harness catch it and shrink each divergence to a

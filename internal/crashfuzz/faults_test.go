@@ -121,11 +121,16 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	if res.Divergences == 0 {
 		t.Fatal("broken duplicate-ACK bookkeeping not caught")
 	}
+	if res.SharedTails == 0 {
+		t.Fatal("no schedule shared a tail: the campaign did not run with sharing on")
+	}
 	if res.ShrinkReplays == 0 {
 		t.Fatal("divergences reported without any shrinking")
 	}
-	if len(res.ReproPaths) != len(res.Repros) {
-		t.Fatalf("%d repros, %d files written", len(res.Repros), len(res.ReproPaths))
+	// A divergent tail is shrunk once, and each schedule that shares it
+	// carries its reproducer.
+	if len(res.Repros) != res.Divergences || len(res.ReproPaths) != len(res.Repros) {
+		t.Fatalf("%d divergences, %d repros, %d files written", res.Divergences, len(res.Repros), len(res.ReproPaths))
 	}
 	for _, r := range res.Repros {
 		if len(r.Cuts) != 1 {

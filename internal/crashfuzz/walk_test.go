@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -185,8 +186,9 @@ func replayCampaign(t *testing.T, cfg Config) *Result {
 
 // checkWalkedTails runs the walker over a fresh campaign of cfg and, on
 // each crash image it hands over, the tail a worker runs, and requires the
-// result of every schedule — final PM, final machine statistics, cuts fired,
-// entries discarded — to equal Replay's from cycle 0.
+// result of every handed-over schedule — final PM, final machine
+// statistics, cuts fired, entries discarded — to equal Replay's from cycle
+// 0. Sharers get no image; checkSharedTails covers them.
 func checkWalkedTails(t *testing.T, cfg Config) {
 	t.Helper()
 	c, err := newCampaign(context.Background(), cfg)
@@ -196,7 +198,8 @@ func checkWalkedTails(t *testing.T, cfg Config) {
 	work := make(chan handoff)
 	walked := make(chan error, 1)
 	go func() {
-		walked <- c.step(context.Background(), make([]outcome, len(c.scheds)), work)
+		_, err := c.step(context.Background(), make([]outcome, len(c.scheds)), work)
+		walked <- err
 		close(work)
 	}()
 	tails := 0
@@ -227,6 +230,148 @@ func checkWalkedTails(t *testing.T, cfg Config) {
 	}
 }
 
+// finalState is what a schedule's tail ends in: the final PM, the final
+// machine statistics and the cuts fired.
+type finalState struct {
+	pm    *mem.Image
+	stats machine.Stats
+	fired int
+}
+
+func (a finalState) equal(b finalState) bool {
+	return a.fired == b.fired && a.pm.Equal(b.pm) && reflect.DeepEqual(a.stats, b.stats)
+}
+
+// checkSharedTails walks a fresh campaign of cfg — with the test-only tail
+// key that drops the later cuts, if brokenKey — and replays every sharer
+// and its representative from cycle 0. A sharer takes its representative's
+// outcome without running a tail, so their final states must be equal. It
+// returns how many sharers it checked and at how many the states differed.
+func checkSharedTails(t *testing.T, cfg Config, brokenKey bool) (sharers, differ int) {
+	t.Helper()
+	c, err := newCampaign(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.brokenKey = brokenKey
+	work := make(chan handoff)
+	go func() {
+		for range work {
+		}
+	}()
+	pairs, err := c.step(context.Background(), make([]outcome, len(c.scheds)), work)
+	close(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(i int) finalState {
+		r, err := Replay(c.rt, c.scheds[i], c.maxCycles, cfg.CorruptPM, cfg.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finalState{r.Sys.PM(), r.Sys.Stats, r.Fired}
+	}
+	reps := map[int]finalState{}
+	for _, sh := range pairs {
+		want, ok := reps[sh.rep]
+		if !ok {
+			want = replay(sh.rep)
+			reps[sh.rep] = want
+		}
+		if !replay(sh.i).equal(want) {
+			differ++
+		}
+	}
+	return len(pairs), differ
+}
+
+// sharingConfig is an exhaustive campaign of the named smoke profile with
+// the given cuts under a walkPlans regime.
+func sharingConfig(t *testing.T, name string, cuts int, plan faults.Plan, degradeDeadline uint64) Config {
+	cfg := Config{Profile: smokeProfile(t, name), Cuts: cuts, Seed: 1, Faults: plan}
+	if degradeDeadline != 0 {
+		cfg.Machine = experiments.ScaledConfig()
+		cfg.Machine.DegradeDeadline = degradeDeadline
+	}
+	return cfg
+}
+
+// TestSharedTailsMatchReplay is the sharing oracle: in exhaustive one- and
+// two-cut campaigns on fuzz-st and fuzz-mt, under each fabric regime, every
+// schedule the walker shares ends, replayed from cycle 0, in the same PM,
+// statistics and cuts fired as the representative whose outcome it takes.
+func TestSharedTailsMatchReplay(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exhaustive sharing check too slow under -race")
+	}
+	if testing.Short() {
+		t.Skip("exhaustive sharing check skipped in -short mode")
+	}
+	for _, name := range []string{"fuzz-st", "fuzz-mt"} {
+		for _, wp := range walkPlans {
+			for cuts := 1; cuts <= 2; cuts++ {
+				name, wp, cuts := name, wp, cuts
+				t.Run(fmt.Sprintf("%s/%s/cuts%d", name, wp.name, cuts), func(t *testing.T) {
+					t.Parallel()
+					sharers, differ := checkSharedTails(t, sharingConfig(t, name, cuts, wp.plan, wp.degradeDeadline), false)
+					if sharers == 0 {
+						t.Fatal("no schedule shared a tail")
+					}
+					if differ != 0 {
+						t.Fatalf("%d of %d sharers end unlike their representative", differ, sharers)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSharedTailsCheckCatchesDroppedCuts proves the sharing oracle has
+// teeth: keyed without its later cuts, a two-cut campaign shares tails
+// between schedules whose second cuts differ, and the check must see their
+// final states differ.
+func TestSharedTailsCheckCatchesDroppedCuts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exhaustive sharing check too slow under -race")
+	}
+	sharers, differ := checkSharedTails(t, sharingConfig(t, "fuzz-mt", 2, faults.Plan{}, 0), true)
+	if differ == 0 {
+		t.Fatalf("a tail key without the later cuts went unnoticed over %d sharers", sharers)
+	}
+}
+
+// TestShareCarriesOutcome pins what a sharer takes from its representative
+// beyond a pass: the representative's error, or its divergence with its
+// shrunk reproducer, but not its shrink replays or their cuts, which ran
+// once and count once. A divergent or failed sharer memoizes nothing.
+func TestShareCarriesOutcome(t *testing.T) {
+	cfg := Config{
+		Profile:             smokeProfile(t, "fuzz-st"),
+		ExhaustiveThreshold: 1,
+		MaxInjections:       1,
+		Cache:               experiments.NewBlobCache(filepath.Join(t.TempDir(), "verdicts")),
+	}
+	c, err := newCampaign(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := Schedule{17, 4}
+	failed := errors.New("recover failed")
+	repro := &Repro{Cuts: Schedule{3}}
+	for _, tc := range []struct{ rep, want outcome }{
+		{outcome{err: failed}, outcome{err: failed}},
+		{outcome{fired: 2, shrinkCuts: 40, shrinkReplays: 20, repro: repro},
+			outcome{shared: true, fired: 2, repro: repro}},
+	} {
+		if got := c.share(sched, tc.rep); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("sharer of %+v took %+v, want %+v", tc.rep, got, tc.want)
+		}
+	}
+	if _, ok := c.cached(sched); ok {
+		t.Fatal("a failed or divergent sharer memoized a passing verdict")
+	}
+}
+
 // untimed clears a manifest's wall-clock fields.
 func untimed(r *Result) *Result {
 	r.WallSeconds, r.InjectionsPerSec = 0, 0
@@ -235,10 +380,12 @@ func untimed(r *Result) *Result {
 
 // TestWalkMatchesReplay checks the walk against its definition: a sampled
 // campaign's manifest equals the one built from Replay on each planned
-// schedule, timing aside, and each schedule's walked tail ends in the same
-// machine as its Replay — with one and two cuts, fault plans, a partly warm
-// verdict cache (cached schedules sit between walked ones), and a
-// corrupting recovery whose divergences are shrunk.
+// schedule, timing and the shared-tail count aside, and each handed-over
+// schedule's walked tail ends in the same machine as its Replay — with one
+// and two cuts, fault plans, a partly warm verdict cache (cached schedules
+// sit between walked ones), and a corrupting recovery whose divergences are
+// shrunk. Every case shares some tails, except the corrupting one, which
+// shares none.
 func TestWalkMatchesReplay(t *testing.T) {
 	base := Config{
 		Profile:             smokeProfile(t, "fuzz-st"),
@@ -274,7 +421,12 @@ func TestWalkMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if shares := cfg.CorruptPM == nil; shares != (got.SharedTails > 0) {
+				t.Fatalf("%d of %d schedules shared a tail, corrupting recovery %v",
+					got.SharedTails, got.CyclesCovered, !shares)
+			}
 			want := replayCampaign(t, cfg)
+			got.SharedTails = 0 // the reference runs every tail
 			if !reflect.DeepEqual(untimed(got), untimed(want)) {
 				t.Fatalf("walk and replay disagree:\nwalk:   %+v\nreplay: %+v", got, want)
 			}
@@ -310,6 +462,7 @@ func TestWalkMatchesReplay(t *testing.T) {
 		}
 		cfg.Cache = warm()
 		want := replayCampaign(t, cfg)
+		got.SharedTails = 0
 		if !reflect.DeepEqual(untimed(got), untimed(want)) {
 			t.Fatalf("walk and replay disagree on a warm cache:\nwalk:   %+v\nreplay: %+v", got, want)
 		}

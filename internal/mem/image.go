@@ -160,8 +160,10 @@ func (im *Image) Diff(other *Image, max int) []string {
 // Hash returns a deterministic FNV-1a fingerprint of the image's contents:
 // every non-zero word folded in ascending address order. Two images hash
 // equal iff they hold identical contents (modulo collisions), so harnesses
-// can compare or log an image's identity — the crash fuzzer's oracle hash —
-// without retaining the image itself.
+// can compare or log an image's identity — the crash fuzzer's oracle hash
+// and tail keys — without retaining the image itself. perfbench's committed
+// crash oracle hash and session pm_hash are this value, so a faster Hash
+// must return exactly the same one.
 func (im *Image) Hash() uint64 {
 	idx := make([]uint64, 0, len(im.pages))
 	for pi := range im.pages {

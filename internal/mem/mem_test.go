@@ -434,3 +434,34 @@ func TestImportImageRejectsNonCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestImageHashGolden pins Image.Hash's exact value. perfbench commits it,
+// as %016x, for crash_campaign's oracle hash and fleet_rw's session
+// pm_hash, so a memo or a different mix must leave every value unchanged.
+func TestImageHashGolden(t *testing.T) {
+	single := NewImage()
+	single.Write(0x40, 0x0123456789abcdef)
+
+	// Words on pages 0 and 2 with zero words between them, and a word on
+	// page 1 written and then zeroed, which drops the page again.
+	gapped := NewImage()
+	gapped.Write(0x08, 1)
+	gapped.Write(0x18, 0xdeadbeef)
+	gapped.Write(0x2100, 42)
+	gapped.Write(0x1008, 9)
+	gapped.Write(0x1008, 0)
+
+	for _, c := range []struct {
+		name string
+		im   *Image
+		want uint64
+	}{
+		{"empty", NewImage(), 0xcbf29ce484222325},
+		{"single", single, 0xa9c3526cb60164b5},
+		{"gapped", gapped, 0x4f8f4e6d68f5b6ff},
+	} {
+		if got := c.im.Hash(); got != c.want {
+			t.Errorf("%s: Hash() = %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
