@@ -176,7 +176,8 @@ type Result struct {
 	CacheHits   int `json:"cache_hits"`
 	SharedTails int `json:"shared_tails"`
 	// Divergences counts schedules whose final state differed from the
-	// oracle; Repros holds their shrunk reproducers.
+	// oracle; Repros holds their shrunk reproducers, one per recovery tail
+	// that diverged, which every schedule sharing that tail carries.
 	Divergences int      `json:"divergences"`
 	Repros      []Repro  `json:"repros,omitempty"`
 	ReproPaths  []string `json:"repro_paths,omitempty"`
@@ -515,9 +516,11 @@ func (c *campaign) result(outcomes []outcome, start time.Time) (*Result, error) 
 		}
 		if o.repro != nil {
 			res.Divergences++
-			o.repro.Seed = c.cfg.Seed
-			o.repro.KeyHash = c.keyHash
-			res.Repros = append(res.Repros, *o.repro)
+			if !o.shared { // a sharer carries its representative's repro
+				o.repro.Seed = c.cfg.Seed
+				o.repro.KeyHash = c.keyHash
+				res.Repros = append(res.Repros, *o.repro)
+			}
 		}
 	}
 	res.WallSeconds = time.Since(start).Seconds()

@@ -149,8 +149,10 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if res.ShrinkReplays == 0 {
 		t.Fatal("divergences reported without any shrinking")
 	}
-	if len(res.ReproPaths) != len(res.Repros) {
-		t.Fatalf("%d repros, %d files written", len(res.Repros), len(res.ReproPaths))
+	// A corrupting recovery shares no tails, so every divergent schedule
+	// has its own reproducer.
+	if len(res.Repros) != res.Divergences || len(res.ReproPaths) != len(res.Repros) {
+		t.Fatalf("%d divergences, %d repros, %d files written", res.Divergences, len(res.Repros), len(res.ReproPaths))
 	}
 	sawZero := false
 	for _, r := range res.Repros {

@@ -127,10 +127,10 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	if res.ShrinkReplays == 0 {
 		t.Fatal("divergences reported without any shrinking")
 	}
-	// A divergent tail is shrunk once, and each schedule that shares it
-	// carries its reproducer.
-	if len(res.Repros) != res.Divergences || len(res.ReproPaths) != len(res.Repros) {
-		t.Fatalf("%d divergences, %d repros, %d files written", res.Divergences, len(res.Repros), len(res.ReproPaths))
+	// The 18 divergent schedules share one crash state: its tail is shrunk
+	// once, and the campaign writes its one reproducer once.
+	if res.Divergences != 18 || len(res.Repros) != 1 || len(res.ReproPaths) != 1 {
+		t.Fatalf("%d divergences, %d repros, %d files written; want 18, 1, 1", res.Divergences, len(res.Repros), len(res.ReproPaths))
 	}
 	for _, r := range res.Repros {
 		if len(r.Cuts) != 1 {

@@ -1,7 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"sync"
 	"testing"
 
@@ -160,12 +166,52 @@ func TestParallelSubsetMatchesSequential(t *testing.T) {
 	}
 }
 
+// fig7fig9StatsFile pins the simulated statistics of every run the Fig7
+// and Fig9 grids resolve: run-key hash → run label and Stats digest. The
+// digests were taken from a workers=1 pass, so they are the sequential
+// reference, and they hold across commits.
+const fig7fig9StatsFile = "testdata/fig7fig9_stats.json"
+
+// runDigest labels one run (suite/app/scheme) and fingerprints its Stats.
+type runDigest struct {
+	Run   string `json:"run"`
+	Stats string `json:"stats"`
+}
+
+// runDigests fingerprints every run r has memoized, by run-key hash: the
+// SHA-256 of the run's Stats as JSON, which covers every exported field by
+// name (perfbench's statsDigest).
+func runDigests(t *testing.T, r *Runner) map[string]runDigest {
+	t.Helper()
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	out := make(map[string]runDigest, len(r.s.cache))
+	for key, st := range r.s.cache {
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		m := r.s.manifests[key]
+		out[keyHash(key)] = runDigest{Run: m.Suite + "/" + m.App + "/" + m.Scheme, Stats: hex.EncodeToString(sum[:])}
+	}
+	return out
+}
+
 // TestParallelFig7Fig9MatchSequential is the full determinism check of the
-// parallel evaluation grid: concurrent Fig7+Fig9 over one shared Runner
-// must reproduce the sequential (workers=1) tables byte for byte. The full
-// Figure 7 grid is ~160 simulations, so under the race detector this test
-// defers to TestParallelSubsetMatchesSequential to keep the package inside
-// the test timeout.
+// parallel evaluation grid: concurrent Fig7+Fig9 over one shared Runner must
+// reproduce, run for run, the Stats a sequential (workers=1) pass committed
+// in fig7fig9StatsFile. The digests cover every Stats field, not the
+// rounded tables, and a drift both passes would share still shows.
+// Sequential-vs-parallel equality within one commit, also under -race, is
+// TestParallelSubsetMatchesSequential's.
+//
+// A change meant to alter simulation deletes the file and runs this test:
+// it then simulates both grids with workers=1, writes the file and fails
+// once, so the new digests are reviewed and committed. The full Figure 7
+// grid is ~160 simulations, so under the race detector this test defers to
+// TestParallelSubsetMatchesSequential to keep the package inside the test
+// timeout.
 func TestParallelFig7Fig9MatchSequential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full Fig7 grid is too slow under -race; subset determinism and race coverage run in TestParallelSubsetMatchesSequential")
@@ -173,26 +219,40 @@ func TestParallelFig7Fig9MatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig7 grid skipped in -short mode")
 	}
-	seq := NewRunner()
-	seq.SetWorkers(1)
-	f7Seq, err := Fig7(seq)
+	raw, err := os.ReadFile(fig7fig9StatsFile)
+	if errors.Is(err, fs.ErrNotExist) {
+		seq := NewRunner()
+		seq.SetWorkers(1)
+		if _, err := Fig7(seq); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig9(seq); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.MarshalIndent(runDigests(t, seq), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fig7fig9StatsFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s from a workers=1 pass; review and commit it", fig7fig9StatsFile)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	f9Seq, err := Fig9(seq)
-	if err != nil {
+	var want map[string]runDigest
+	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 
 	par := NewRunner()
 	par.SetWorkers(8)
 	var wg sync.WaitGroup
-	var f7Par *Fig7Result
-	var f9Par *Fig9Result
 	var f7Err, f9Err error
 	wg.Add(2)
-	go func() { defer wg.Done(); f7Par, f7Err = Fig7(par) }()
-	go func() { defer wg.Done(); f9Par, f9Err = Fig9(par) }()
+	go func() { defer wg.Done(); _, f7Err = Fig7(par) }()
+	go func() { defer wg.Done(); _, f9Err = Fig9(par) }()
 	wg.Wait()
 	if f7Err != nil {
 		t.Fatal(f7Err)
@@ -200,11 +260,20 @@ func TestParallelFig7Fig9MatchSequential(t *testing.T) {
 	if f9Err != nil {
 		t.Fatal(f9Err)
 	}
-	if f7Par.String() != f7Seq.String() {
-		t.Fatal("parallel Fig7 diverged from sequential output")
+	got := runDigests(t, par)
+	for hash, w := range want {
+		g, ok := got[hash]
+		switch {
+		case !ok:
+			t.Errorf("%s (%s): committed run not resolved by the grids", w.Run, hash)
+		case g != w:
+			t.Errorf("%s (%s): stats digest %s, committed %s", g.Run, hash, g.Stats, w.Stats)
+		}
 	}
-	if f9Par.String() != f9Seq.String() {
-		t.Fatal("parallel Fig9 diverged from sequential output")
+	for hash, g := range got {
+		if _, ok := want[hash]; !ok {
+			t.Errorf("%s (%s): run not in %s", g.Run, hash, fig7fig9StatsFile)
+		}
 	}
 	// The shared parallel runner must have deduplicated Fig7's and Fig9's
 	// overlapping LightWSP runs: 39 suite entries × 4 schemes for Fig7,

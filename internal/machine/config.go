@@ -19,7 +19,8 @@ import (
 // Config mirrors Table I of the paper, converted to cycles at 2 GHz
 // (1 cycle = 0.5 ns).
 type Config struct {
-	// Cores is the number of cores (one hardware thread each).
+	// Cores is the number of cores (one hardware thread each). It bounds
+	// Threads; the machine builds only the Threads cores that run.
 	Cores int
 	// IssueWidth is instructions issued per cycle (4-wide OoO).
 	IssueWidth int

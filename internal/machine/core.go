@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"lightwsp/internal/fifo"
 	"lightwsp/internal/isa"
 	"lightwsp/internal/mem"
 	"lightwsp/internal/persistpath"
@@ -32,11 +33,11 @@ type Core struct {
 	sp     uint64
 	region uint64
 	halted bool
-	active bool
 
-	sb   []sbEntry
-	l1   *mem.Cache
-	path *persistpath.Path // nil when the scheme has no persist path
+	sb    []sbEntry // the store buffer: a FIFO window of sbBuf
+	sbBuf []sbEntry // its storage, allocated once (package fifo)
+	l1    *mem.Cache
+	path  *persistpath.Path // nil when the scheme has no persist path
 
 	outstanding int    // persist entries created but not yet flushed to PM
 	waitDrain   bool   // stalled at a boundary until outstanding == 0
@@ -77,7 +78,7 @@ func (c *Core) opReady(in *isa.Instr, now uint64) bool {
 // pushStore appends a store to the store buffer; the caller must have
 // verified space with sbRoom.
 func (c *Core) pushStore(addr, val, region uint64, boundary bool, now uint64) {
-	c.sb = append(c.sb, sbEntry{addr: addr, val: val, region: region, boundary: boundary, born: now})
+	c.sb = fifo.Push(c.sbBuf, c.sb, sbEntry{addr: addr, val: val, region: region, boundary: boundary, born: now})
 	c.sys.sbPending++
 }
 
@@ -133,7 +134,7 @@ func (c *Core) boundaryCost() int {
 
 // tick advances the core one cycle: drain the store buffer, then issue.
 func (c *Core) tick(now uint64) {
-	if !c.active || c.halted && len(c.sb) == 0 {
+	if c.halted && len(c.sb) == 0 {
 		return
 	}
 	c.drainSB(now)
@@ -558,9 +559,6 @@ func (c *Core) effAddr(base uint64, imm int64) uint64 {
 // the flush or path drain that wakes it is another component's event, and
 // skipIdle accounts the per-cycle drain-stall statistic for the span.
 func (c *Core) nextEvent(now uint64) uint64 {
-	if !c.active {
-		return noEvent
-	}
 	if len(c.sb) > 0 {
 		return now + 1 // store-buffer drain (or FEB back-pressure retry) every cycle
 	}
@@ -596,8 +594,8 @@ func (c *Core) nextEvent(now uint64) uint64 {
 // the core's state is frozen and the only per-cycle effects are the stall
 // statistics the naive stepper would have counted.
 func (c *Core) skipIdle(from, n uint64) {
-	if !c.active || c.halted || len(c.sb) > 0 {
-		return // inactive or halted-idle cores tick to nothing; sb>0 is never skipped
+	if c.halted || len(c.sb) > 0 {
+		return // halted-idle cores tick to nothing; sb>0 is never skipped
 	}
 	if c.waitDrain {
 		// Unmet by construction: a satisfied waitDrain reports now+1 and

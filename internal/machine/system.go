@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"lightwsp/internal/faults"
+	"lightwsp/internal/fifo"
 	"lightwsp/internal/isa"
 	"lightwsp/internal/mem"
 	"lightwsp/internal/noc"
@@ -64,7 +65,7 @@ type System struct {
 
 	// Done bookkeeping: live counters maintained at every state transition
 	// so completion is an O(1) check instead of a scan of every component.
-	runningCores int // active cores not yet halted
+	runningCores int // cores not yet halted
 	sbPending    int // store-buffer entries across all cores
 	pathPending  int // persist-path entries (front-end buffers + channels)
 	wpqPending   int // data entries across all WPQs
@@ -92,10 +93,7 @@ func NewSystem(prog *isa.Program, cfg Config, scheme Scheme) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for t := 0; t < cfg.Threads; t++ {
-		c := s.cores[t]
-		c.active = true
-		s.runningCores++
+	for t, c := range s.cores {
 		c.pc = isa.PC{Func: prog.Entry}
 		c.regs[isa.ArgReg(0)] = uint64(t)
 		c.regs[isa.ArgReg(1)] = uint64(cfg.Threads)
@@ -127,10 +125,7 @@ func NewRecoveredSystem(prog *isa.Program, cfg Config, scheme Scheme, pmImage *m
 	s.pm = pmImage
 	s.arch = pmImage.Clone()
 	s.recovered = true
-	for t := 0; t < cfg.Threads; t++ {
-		c := s.cores[t]
-		c.active = true
-		s.runningCores++
+	for t, c := range s.cores {
 		c.pc = states[t].PC
 		c.regs = states[t].Regs
 		c.sp = states[t].SP
@@ -164,6 +159,7 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 		l2:            mem.NewCache(cfg.L2Size, cfg.L2Ways),
 		net:           noc.New(cfg.NoCLat),
 		regionCounter: firstRegion - 1,
+		runningCores:  cfg.Threads,
 	}
 	mode := wpq.FIFO
 	if scheme.GatedWPQ {
@@ -185,8 +181,11 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 	}
 	s.stuckSince = make([]uint64, cfg.NumMCs)
 	s.degradedMC = make([]bool, cfg.NumMCs)
-	for i := 0; i < cfg.Cores; i++ {
-		c := &Core{id: i, sys: s, l1: mem.NewCache(cfg.L1Size, cfg.L1Ways)}
+	// One core per thread: a core beyond the thread count would run
+	// nothing, so the machine does not build it, and no tick visits it.
+	for i := 0; i < cfg.Threads; i++ {
+		c := &Core{id: i, sys: s, l1: mem.NewCache(cfg.L1Size, cfg.L1Ways),
+			sbBuf: fifo.Storage[sbEntry](cfg.SBEntries)}
 		if scheme.UsePersistPath {
 			i := i
 			c.path = persistpath.New(persistpath.Config{
@@ -415,7 +414,7 @@ func (s *System) Done() bool {
 // component. Done must agree with it at every cycle; tests enforce that.
 func (s *System) scanDone() bool {
 	for _, c := range s.cores {
-		if c.active && (!c.halted || len(c.sb) != 0) {
+		if !c.halted || len(c.sb) != 0 {
 			return false
 		}
 		if c.path != nil && !c.path.Empty() {
@@ -713,9 +712,6 @@ func (s *System) loadLatency(c *Core, addr uint64) uint64 {
 func (s *System) DebugState() string {
 	out := ""
 	for _, c := range s.cores {
-		if !c.active {
-			continue
-		}
 		out += fmt.Sprintf("core%d halted=%v pc=%v region=%d sb=%d spinning=%v waitDrain=%v outstanding=%d",
 			c.id, c.halted, c.pc, c.region, len(c.sb), c.spinning, c.waitDrain, c.outstanding)
 		if c.path != nil {

@@ -83,6 +83,9 @@ type Network struct {
 	queue   []inflight
 	seq     uint64
 	inj     *faults.Injector
+	// due and out are Deliver's batches, reused on every call.
+	due []inflight
+	out []Message
 
 	// Sent counts messages by kind, for the experiment harness. A message
 	// is counted when Send is called, even if the injector then drops it;
@@ -107,6 +110,7 @@ func (n *Network) Clone() *Network {
 	c := *n
 	c.queue = append([]inflight(nil), n.queue...)
 	c.inj = nil
+	c.due, c.out = nil, nil // a copy owns its batches
 	return &c
 }
 
@@ -141,8 +145,9 @@ func (n *Network) Send(now uint64, m Message) {
 // delivery cycle come out in send order — injected delays move a message to
 // a later cycle but never invert it against messages it ties with — except
 // that reorder-faulted messages overtake the non-faulted ones in their batch.
+// The result is valid only until the next call: the network reuses it.
 func (n *Network) Deliver(now uint64) []Message {
-	var due []inflight
+	due := n.due[:0]
 	rest := n.queue[:0]
 	anyEager := false
 	for _, f := range n.queue {
@@ -159,10 +164,11 @@ func (n *Network) Deliver(now uint64) []Message {
 		// themselves, as do the messages they overtake.
 		sort.SliceStable(due, func(i, j int) bool { return due[i].eager && !due[j].eager })
 	}
-	var out []Message
+	out := n.out[:0]
 	for _, f := range due {
 		out = append(out, f.msg)
 	}
+	n.due, n.out = due, out
 	return out
 }
 

@@ -39,6 +39,25 @@ func TestDeliverPreservesSendOrder(t *testing.T) {
 	}
 }
 
+// TestCloneOwnsItsBatches: Deliver reuses its result batch, so a clone
+// (a CrashImage battery copy) must get batches of its own; delivering on the
+// clone must not rewrite a batch the original handed out.
+func TestCloneOwnsItsBatches(t *testing.T) {
+	n := New(1)
+	n.Send(0, Message{Kind: MsgBdryAck, Region: 1, From: 0, To: 1})
+	n.Deliver(1) // the batches now hold storage
+	c := n.Clone()
+	n.Send(1, Message{Kind: MsgBdryAck, Region: 2, From: 0, To: 1})
+	c.Send(1, Message{Kind: MsgFlushAck, Region: 3, From: 1, To: 0})
+	got := n.Deliver(2)
+	if other := c.Deliver(2); len(other) != 1 || other[0].Region != 3 {
+		t.Fatalf("clone delivered %v, want region 3", other)
+	}
+	if len(got) != 1 || got[0].Region != 2 {
+		t.Fatalf("clone's delivery rewrote the original's batch: %v", got)
+	}
+}
+
 func TestDrainAll(t *testing.T) {
 	n := New(1000)
 	n.Send(0, Message{Kind: MsgBdryAck, Region: 7, From: 1, To: 0})

@@ -10,6 +10,7 @@
 package persistpath
 
 import (
+	"lightwsp/internal/fifo"
 	"lightwsp/internal/mem"
 	"lightwsp/internal/probe"
 )
@@ -69,6 +70,10 @@ type Path struct {
 	feb      []Entry
 	credit   int
 	channels [][]inflight // per MC, FIFO
+	// febBuf and chanBufs are the queues' storage, allocated once in New:
+	// feb and each channel are windows of it (package fifo).
+	febBuf   []Entry
+	chanBufs [][]inflight
 	// pending mirrors len(feb) + InFlight() so Empty and Pending are O(1):
 	// a boundary leaving the front-end buffer replicates into every channel,
 	// so dispatch is not occupancy-neutral.
@@ -90,7 +95,16 @@ func (p *Path) SetProbe(s probe.Sink) { p.probe = s }
 
 // New builds a persist path.
 func New(cfg Config) *Path {
-	return &Path{cfg: cfg, channels: make([][]inflight, cfg.NumMCs)}
+	p := &Path{
+		cfg:      cfg,
+		channels: make([][]inflight, cfg.NumMCs),
+		febBuf:   fifo.Storage[Entry](cfg.FEBEntries),
+		chanBufs: make([][]inflight, cfg.NumMCs),
+	}
+	for m := range p.chanBufs {
+		p.chanBufs[m] = fifo.Storage[inflight](cfg.ChannelCap)
+	}
+	return p
 }
 
 // FEBLen returns the current front-end buffer occupancy.
@@ -119,7 +133,7 @@ func (p *Path) Enqueue(e Entry) bool {
 		p.FEBFullCycles++
 		return false
 	}
-	p.feb = append(p.feb, e)
+	p.feb = fifo.Push(p.febBuf, p.feb, e)
 	p.pending++
 	return true
 }
@@ -192,7 +206,7 @@ func (p *Path) Tick(now uint64) {
 			for m := 0; m < p.cfg.NumMCs; m++ {
 				c := e
 				c.Control = m != home
-				p.channels[m] = append(p.channels[m], inflight{e: c, arrival: now + p.cfg.Latency(m)})
+				p.channels[m] = fifo.Push(p.chanBufs[m], p.channels[m], inflight{e: c, arrival: now + p.cfg.Latency(m)})
 			}
 			p.pending += p.cfg.NumMCs - 1 // one buffer entry became NumMCs channel entries
 			if p.probe != nil {
@@ -204,7 +218,7 @@ func (p *Path) Tick(now uint64) {
 			if len(p.channels[m]) >= p.cfg.ChannelCap {
 				return
 			}
-			p.channels[m] = append(p.channels[m], inflight{e: e, arrival: now + p.cfg.Latency(m)})
+			p.channels[m] = fifo.Push(p.chanBufs[m], p.channels[m], inflight{e: e, arrival: now + p.cfg.Latency(m)})
 		}
 		p.credit -= e.Bytes
 		p.feb = p.feb[1:]
