@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"lightwsp/internal/hostfs"
@@ -827,5 +829,62 @@ func TestSessionLegacyUnsealedJournalMigrates(t *testing.T) {
 	last := lines[len(lines)-1]
 	if _, err := hostfs.UnsealLine([]byte(last), true); err != nil {
 		t.Fatalf("new append not sealed: %v (%q)", err, last)
+	}
+}
+
+// TestConcurrentBenchmarkSessionsPMHash pins the fleet_rw benchmark's session
+// output (perfbench/expected.json): two sessions with the benchmark's spec —
+// CPU2006 hmmer under LightWSP, a snapshot (a power cut) every 100,000
+// cycles — advance concurrently on one store, 25,000 cycles at a time, and
+// each must finish with PM hash d913f9e05073bba2. Run under -race it also
+// checks that concurrent sessions share no mutable state. A change meant to
+// alter simulation updates the hash here and in the benchmark together.
+func TestConcurrentBenchmarkSessionsPMHash(t *testing.T) {
+	const wantHash = "d913f9e05073bba2"
+	st, err := OpenSessionStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	spec := SessionSpec{Suite: "CPU2006", App: "hmmer", Scheme: "lightwsp", SnapshotEvery: 100_000}
+	hashes := make([]string, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range hashes {
+		s, err := st.Create(fmt.Sprintf("bench-%d", i), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var last SessionEvent
+			for target := uint64(25_000); !last.Done && target <= 10_000_000; target += 25_000 {
+				err := s.Advance(context.Background(), target, func(ev SessionEvent) error {
+					if ev.Type == "advance" {
+						last = ev
+					}
+					return nil
+				}, nil)
+				if err != nil {
+					errs[i] = fmt.Errorf("advance to %d: %w", target, err)
+					return
+				}
+			}
+			if !last.Done {
+				errs[i] = fmt.Errorf("not done at total %d", last.Total)
+				return
+			}
+			hashes[i] = last.PMHash
+		}(i)
+	}
+	wg.Wait()
+	for i := range hashes {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		if hashes[i] != wantHash {
+			t.Errorf("session %d finished with pm_hash %s, want %s", i, hashes[i], wantHash)
+		}
 	}
 }

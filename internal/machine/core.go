@@ -28,6 +28,7 @@ type Core struct {
 	sys *System
 
 	pc     isa.PC
+	blk    []decoded // pc's block in the machine's decoded table (setPC)
 	regs   [isa.NumRegs]uint64
 	ready  [isa.NumRegs]uint64 // cycle each register's value is available
 	sp     uint64
@@ -64,15 +65,23 @@ type ThreadState struct {
 	SP   uint64
 }
 
-// opReady reports whether every source register of in is available.
-func (c *Core) opReady(in *isa.Instr, now uint64) bool {
-	var buf [8]isa.Reg
-	for _, r := range in.Uses(buf[:0]) {
-		if c.ready[r] > now {
-			return false
+// setPC moves the core to pc and keeps pc's block of decoded instructions,
+// so the instruction at pc is c.blk[pc.Index] until control leaves the block.
+func (c *Core) setPC(pc isa.PC) {
+	c.pc = pc
+	c.blk = c.sys.code[pc.Func][pc.Block]
+}
+
+// operandsAt returns the cycle at which every source register of d is
+// available: d can issue at any cycle not before it.
+func (c *Core) operandsAt(d *decoded) uint64 {
+	at := uint64(0)
+	for _, r := range d.uses[:d.n] {
+		if c.ready[r] > at {
+			at = c.ready[r]
 		}
 	}
-	return true
+	return at
 }
 
 // pushStore appends a store to the store buffer; the caller must have
@@ -239,11 +248,12 @@ func (c *Core) issue(now uint64) {
 		return // fetch redirect after taken control flow
 	}
 	for slot := 0; slot < s.cfg.IssueWidth && !c.halted && !c.waitDrain; slot++ {
-		in := s.prog.InstrAt(c.pc)
-		if !c.opReady(in, now) {
+		d := &c.blk[c.pc.Index]
+		if c.operandsAt(d) > now {
 			s.Stats.StallOperand++
 			return
 		}
+		in := d.in
 		if !c.step(in, now) {
 			return // structural stall (SB full, lock spin); retry next cycle
 		}
@@ -335,13 +345,13 @@ func (c *Core) step(in *isa.Instr, now uint64) bool {
 		next()
 
 	case isa.Jump:
-		c.pc = isa.PC{Func: c.pc.Func, Block: in.Target}
+		c.setPC(isa.PC{Func: c.pc.Func, Block: in.Target})
 
 	case isa.Branch:
 		if regs[in.Rs1] != 0 {
-			c.pc = isa.PC{Func: c.pc.Func, Block: in.Target}
+			c.setPC(isa.PC{Func: c.pc.Func, Block: in.Target})
 		} else {
-			c.pc = isa.PC{Func: c.pc.Func, Block: in.Target2}
+			c.setPC(isa.PC{Func: c.pc.Func, Block: in.Target2})
 		}
 
 	case isa.Call:
@@ -354,7 +364,7 @@ func (c *Core) step(in *isa.Instr, now uint64) bool {
 		c.pushStore(c.sp, ret.Pack(), c.region, false, now)
 		c.noteStore()
 		c.sp -= mem.WordSize
-		c.pc = isa.PC{Func: in.Target}
+		c.setPC(isa.PC{Func: in.Target})
 
 	case isa.Ret:
 		regs[isa.RetReg] = regs[in.Rs1]
@@ -363,7 +373,7 @@ func (c *Core) step(in *isa.Instr, now uint64) bool {
 		ret := isa.UnpackPC(s.arch.Read(retAddr))
 		c.ready[isa.RetReg] = now + hideLatency(s.loadLatency(c, retAddr), s.cfg.OOOWindow)
 		s.Stats.Loads++
-		c.pc = ret
+		c.setPC(ret)
 
 	case isa.Halt:
 		if s.scheme.Instrumented {
@@ -577,15 +587,7 @@ func (c *Core) nextEvent(now uint64) uint64 {
 	// Operand readiness of the next instruction is the only predictable
 	// issue stall; everything else (lock spins read shared memory, SB-full
 	// depends on same-cycle drains) must be retried per cycle.
-	in := c.sys.prog.InstrAt(c.pc)
-	next := now + 1
-	var buf [8]isa.Reg
-	for _, r := range in.Uses(buf[:0]) {
-		if c.ready[r] > next {
-			next = c.ready[r]
-		}
-	}
-	return next
+	return max(now+1, c.operandsAt(&c.blk[c.pc.Index]))
 }
 
 // skipIdle applies the cumulative effect of ticking the core over an idle

@@ -59,8 +59,15 @@ func (s *System) FastForwardStats() (skipped, jumps uint64) {
 // and RunUntilContext; the fast path lives only here. The limit is a hard
 // landing point: a jump never overshoots it, so budget checks and
 // crashfuzz power-cut cycles land exactly where the naive stepper stops.
+//
+// The loop looks for a jump only before its first tick and after a tick
+// that issued no instruction. A core that issued usually issues again on
+// the next cycle, so a scan there almost never ends in a jump; ticking the
+// next cycle directly instead is at worst an early tick, which the
+// contract allows.
 func (s *System) runLoop(ctx context.Context, limit uint64) (bool, error) {
 	poll := s.cycle // poll ctx before the first tick, so an expired deadline never runs
+	idle := true    // the previous tick issued nothing (none yet in this call)
 	for !s.Done() {
 		if s.cycle >= limit {
 			return false, nil
@@ -71,7 +78,8 @@ func (s *System) runLoop(ctx context.Context, limit uint64) (bool, error) {
 			}
 			poll = s.cycle + ctxCheckBatch
 		}
-		if !s.naiveStep {
+		if idle && !s.naiveStep {
+			s.ffScans++
 			if next := s.nextInteresting(s.cycle); next > s.cycle+1 {
 				if next > limit {
 					// Either a wedged machine (no events at all) or events
@@ -83,7 +91,9 @@ func (s *System) runLoop(ctx context.Context, limit uint64) (bool, error) {
 				}
 			}
 		}
+		issued := s.Stats.Instructions
 		s.Tick()
+		idle = s.Stats.Instructions == issued
 	}
 	return true, nil
 }

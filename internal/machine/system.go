@@ -27,6 +27,7 @@ type System struct {
 	cfg    Config
 	scheme Scheme
 	prog   *isa.Program
+	code   [][][]decoded // prog decoded, this machine's own (decode.go)
 
 	// arch is the architectural memory (what the cores observe); pm is
 	// the persisted image — the only state that survives power failure.
@@ -74,6 +75,7 @@ type System struct {
 	naiveStep bool   // true = reference per-cycle stepper
 	ffSkipped uint64 // cycles fast-forwarded past
 	ffJumps   uint64 // fast-forward jumps taken
+	ffScans   uint64 // next-event scans (nextInteresting calls) by runLoop
 	ffSkew    uint64 // test-only: offsets next-events to break the contract
 
 	// Output is the machine's output device: the values emitted by Io
@@ -94,7 +96,7 @@ func NewSystem(prog *isa.Program, cfg Config, scheme Scheme) (*System, error) {
 		return nil, err
 	}
 	for t, c := range s.cores {
-		c.pc = isa.PC{Func: prog.Entry}
+		c.setPC(isa.PC{Func: prog.Entry})
 		c.regs[isa.ArgReg(0)] = uint64(t)
 		c.regs[isa.ArgReg(1)] = uint64(cfg.Threads)
 		c.sp = mem.StackTop(t)
@@ -126,7 +128,7 @@ func NewRecoveredSystem(prog *isa.Program, cfg Config, scheme Scheme, pmImage *m
 	s.arch = pmImage.Clone()
 	s.recovered = true
 	for t, c := range s.cores {
-		c.pc = states[t].PC
+		c.setPC(states[t].PC)
 		c.regs = states[t].Regs
 		c.sp = states[t].SP
 		if scheme.Instrumented {
@@ -154,6 +156,7 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 		cfg:           cfg,
 		scheme:        scheme,
 		prog:          prog,
+		code:          decode(prog),
 		arch:          mem.NewImage(),
 		pm:            mem.NewImage(),
 		l2:            mem.NewCache(cfg.L2Size, cfg.L2Ways),

@@ -69,7 +69,6 @@ type Message struct {
 type inflight struct {
 	msg     Message
 	arrival uint64
-	seq     uint64 // tie-break for deterministic ordering
 	// eager marks a message hit by a reorder fault: it overtakes
 	// non-eager messages that share its delivery cycle.
 	eager bool
@@ -81,8 +80,10 @@ type inflight struct {
 type Network struct {
 	latency uint64
 	queue   []inflight
-	seq     uint64
-	inj     *faults.Injector
+	// next is the earliest arrival in queue (NoEvent when it is empty):
+	// Send lowers it, and whatever removes messages recomputes it.
+	next uint64
+	inj  *faults.Injector
 	// due and out are Deliver's batches, reused on every call.
 	due []inflight
 	out []Message
@@ -95,7 +96,7 @@ type Network struct {
 
 // New returns a network with the given delivery latency in cycles.
 func New(latency uint64) *Network {
-	return &Network{latency: latency}
+	return &Network{latency: latency, next: NoEvent}
 }
 
 // SetInjector attaches a fault injector consulted on every Send. A nil
@@ -103,9 +104,9 @@ func New(latency uint64) *Network {
 func (n *Network) SetInjector(inj *faults.Injector) { n.inj = inj }
 
 // Clone returns an independent copy of the network: its in-flight messages,
-// send sequence and counters. The copy has no injector — attach the copy's
-// own with SetInjector, since consulting n's would advance n's decision
-// stream.
+// their earliest arrival and its counters. The copy has no injector —
+// attach the copy's own with SetInjector, since consulting n's would
+// advance n's decision stream.
 func (n *Network) Clone() *Network {
 	c := *n
 	c.queue = append([]inflight(nil), n.queue...)
@@ -120,25 +121,23 @@ func (n *Network) Clone() *Network {
 func (n *Network) Send(now uint64, m Message) {
 	n.Sent[m.Kind]++
 	if n.inj == nil {
-		n.queue = append(n.queue, inflight{msg: m, arrival: now + n.latency, seq: n.seq})
-		n.seq++
+		n.push(inflight{msg: m, arrival: now + n.latency})
 		return
 	}
 	d := n.inj.Message(now, int(m.Kind), m.Region, m.From, m.To)
 	if d.Drop {
 		return
 	}
-	n.queue = append(n.queue, inflight{
-		msg:     m,
-		arrival: now + n.latency + d.Delay,
-		seq:     n.seq,
-		eager:   d.Reorder,
-	})
-	n.seq++
+	n.push(inflight{msg: m, arrival: now + n.latency + d.Delay, eager: d.Reorder})
 	if d.Dup {
-		n.queue = append(n.queue, inflight{msg: m, arrival: now + n.latency + d.Delay + 1, seq: n.seq})
-		n.seq++
+		n.push(inflight{msg: m, arrival: now + n.latency + d.Delay + 1})
 	}
+}
+
+// push queues f behind every message sent before it.
+func (n *Network) push(f inflight) {
+	n.queue = append(n.queue, f)
+	n.next = min(n.next, f.arrival)
 }
 
 // Deliver pops every message due at or before now. Messages sharing a
@@ -147,8 +146,12 @@ func (n *Network) Send(now uint64, m Message) {
 // that reorder-faulted messages overtake the non-faulted ones in their batch.
 // The result is valid only until the next call: the network reuses it.
 func (n *Network) Deliver(now uint64) []Message {
+	if n.next > now {
+		return nil // nothing is due: the queue stays as it is
+	}
 	due := n.due[:0]
 	rest := n.queue[:0]
+	next := uint64(NoEvent)
 	anyEager := false
 	for _, f := range n.queue {
 		if f.arrival <= now {
@@ -156,9 +159,10 @@ func (n *Network) Deliver(now uint64) []Message {
 			anyEager = anyEager || f.eager
 		} else {
 			rest = append(rest, f)
+			next = min(next, f.arrival)
 		}
 	}
-	n.queue = rest
+	n.queue, n.next = rest, next
 	if anyEager {
 		// Stable: eager messages jump the batch but keep send order among
 		// themselves, as do the messages they overtake.
@@ -183,15 +187,8 @@ const NoEvent = ^uint64(0)
 // nothing is in flight. After Deliver(now) every queued message has
 // arrival > now, so the event/epoch scheduler can jump straight to the
 // returned cycle: a Deliver call on any cycle in between would pop nothing.
-func (n *Network) NextArrival() uint64 {
-	next := uint64(NoEvent)
-	for _, f := range n.queue {
-		if f.arrival < next {
-			next = f.arrival
-		}
-	}
-	return next
-}
+// The network keeps the value, so the call costs O(1).
+func (n *Network) NextArrival() uint64 { return n.next }
 
 // DrainAll delivers every in-flight message immediately, regardless of
 // arrival cycle, and returns them in send order — the order Send was called,
@@ -205,7 +202,7 @@ func (n *Network) DrainAll() []Message {
 	for _, f := range n.queue {
 		out = append(out, f.msg)
 	}
-	n.queue = n.queue[:0]
+	n.queue, n.next = n.queue[:0], NoEvent
 	return out
 }
 
@@ -214,10 +211,12 @@ func (n *Network) DrainAll() []Message {
 // replays survive on battery.
 func (n *Network) DropCoreTraffic() {
 	rest := n.queue[:0]
+	next := uint64(NoEvent)
 	for _, f := range n.queue {
 		if f.msg.Kind != MsgBoundary {
 			rest = append(rest, f)
+			next = min(next, f.arrival)
 		}
 	}
-	n.queue = rest
+	n.queue, n.next = rest, next
 }

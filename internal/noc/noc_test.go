@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"lightwsp/internal/faults"
@@ -280,6 +281,63 @@ func TestDeliverNeverEarlyProperty(t *testing.T) {
 		}
 		if len(seen) != 50 {
 			t.Fatalf("lat %d: delivered %d of 50", lat, len(seen))
+		}
+	}
+}
+
+// TestNextArrivalMatchesScan checks the stored earliest arrival against a
+// scan of the queue after every operation of random streams: sends through
+// an injector that drops, delays, duplicates and reorders, deliveries at
+// cycles that step or jump, DrainAll, DropCoreTraffic and Clone.
+func TestNextArrivalMatchesScan(t *testing.T) {
+	scan := func(n *Network) uint64 {
+		next := uint64(NoEvent)
+		for _, f := range n.queue {
+			next = min(next, f.arrival)
+		}
+		return next
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		plan := faults.Plan{Seed: seed, DropPct: 15, DupPct: 15, DelayPct: 25, ReorderPct: 15, MaxDelay: 20}
+		n := New(uint64(1 + r.Intn(12)))
+		n.SetInjector(faults.New(plan))
+		now := uint64(0)
+		for op := 0; op < 600; op++ {
+			what := ""
+			switch k := r.Intn(20); {
+			case k < 9:
+				what = "Send"
+				n.Send(now, Message{Kind: MsgKind(r.Intn(NumKinds)), Region: uint64(r.Intn(8)), From: r.Intn(4), To: r.Intn(4)})
+			case k < 16:
+				what = "Deliver"
+				now += uint64(r.Intn(4))
+				if r.Intn(8) == 0 {
+					now += uint64(r.Intn(40))
+				}
+				n.Deliver(now)
+			case k < 17:
+				what = "DrainAll"
+				n.DrainAll()
+			case k < 18:
+				what = "DropCoreTraffic"
+				n.DropCoreTraffic()
+			default:
+				what = "Clone"
+				c := n.Clone()
+				c.SetInjector(faults.New(plan))
+				if got, want := c.NextArrival(), scan(c); got != want {
+					t.Fatalf("seed %d op %d: clone NextArrival %d, scan %d", seed, op, got, want)
+				}
+				n.Send(now, Message{Kind: MsgBdryAck, Region: 99, To: 1}) // the original moves on alone
+				if got, want := c.NextArrival(), scan(c); got != want {
+					t.Fatalf("seed %d op %d: clone NextArrival %d after a send to the original, scan %d", seed, op, got, want)
+				}
+				n = c
+			}
+			if got, want := n.NextArrival(), scan(n); got != want {
+				t.Fatalf("seed %d op %d (%s at cycle %d): NextArrival %d, scan %d", seed, op, what, now, got, want)
+			}
 		}
 	}
 }

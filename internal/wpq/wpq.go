@@ -118,6 +118,10 @@ type Queue struct {
 	// degenerate to plain counters (the pre-reliable-delivery bookkeeping).
 	bdryAcks  map[uint64]uint64
 	flushAcks map[uint64]uint64
+	// flushReady is canFlush(flushID), stored: every reader asks about
+	// the flush region, and the answer changes only when its boundary or
+	// one of its bdry-ACKs arrives or the flush ID advances (confirm).
+	flushReady bool
 
 	busyUntil uint64
 
@@ -248,6 +252,9 @@ func (q *Queue) recordBoundary(r uint64) {
 		return
 	}
 	q.bdryRcvd[r] = true
+	if r == q.flushID {
+		q.confirm()
+	}
 	for m := 0; m < q.cfg.NumMCs; m++ {
 		if m != q.cfg.ID {
 			q.sinks.Send(noc.Message{Kind: noc.MsgBdryAck, Region: r, From: q.cfg.ID, To: m})
@@ -330,6 +337,9 @@ func (q *Queue) OnMessage(now uint64, m noc.Message) {
 	switch m.Kind {
 	case noc.MsgBdryAck:
 		q.recordAck(now, q.bdryAcks, m)
+		if m.Region == q.flushID {
+			q.confirm()
+		}
 	case noc.MsgFlushAck:
 		q.recordAck(now, q.flushAcks, m)
 	case noc.MsgBoundary:
@@ -374,8 +384,12 @@ func (q *Queue) peerMask() uint64 {
 	return (uint64(1)<<uint(q.cfg.NumMCs) - 1) &^ (uint64(1) << uint(q.cfg.ID))
 }
 
+// confirm recomputes flushReady from the boundary and ACK maps.
+func (q *Queue) confirm() { q.flushReady = q.canFlush(q.flushID) }
+
 // canFlush reports whether region r's quarantine may open: its boundary
 // reached this controller and every other controller acknowledged it.
+// Readers use flushReady, its stored answer for the flush region.
 func (q *Queue) canFlush(r uint64) bool {
 	if !q.bdryRcvd[r] {
 		return false
@@ -394,7 +408,7 @@ func (q *Queue) canFlush(r uint64) bool {
 // backoff, so delivery still eventually succeeds under any drop rate.
 func (q *Queue) tickRetry(now uint64) {
 	fid := q.flushID
-	if !q.bdryRcvd[fid] || q.canFlush(fid) {
+	if q.flushReady || !q.bdryRcvd[fid] {
 		// Nothing to solicit: either the boundary hasn't arrived here yet
 		// (our own persist path will deliver it) or the region is fully
 		// acknowledged.
@@ -502,7 +516,7 @@ func (q *Queue) tickGated(now uint64) {
 	// flushing a data entry occupies the PM write port and ends the turn.
 	for hop := 0; hop < 4; hop++ {
 		fid := q.flushID
-		if !q.canFlush(fid) {
+		if !q.flushReady {
 			break
 		}
 		if i := q.findRegion(fid); i >= 0 {
@@ -577,7 +591,7 @@ func (q *Queue) NextEvent(now uint64) uint64 {
 		// monotonic and a later re-arm always goes through the
 		// retryRegion-mismatch branch with the same resulting timer.
 		fid := q.flushID
-		if q.bdryRcvd[fid] && !q.canFlush(fid) {
+		if !q.flushReady && q.bdryRcvd[fid] {
 			if q.retryArmed && q.retryRegion == fid {
 				next = laterOf(now+1, q.retryAt)
 			} else {
@@ -588,7 +602,7 @@ func (q *Queue) NextEvent(now uint64) uint64 {
 	// The gated flush walk has work exactly when the flush region is
 	// globally confirmed, or an escape path (overflow, degraded) has an
 	// eligible entry; the PM write port gates it by busyUntil.
-	if q.canFlush(q.flushID) ||
+	if q.flushReady ||
 		(q.overflow && q.findRegion(q.flushID) >= 0) ||
 		(q.degraded && len(q.entries) > 0) {
 		if ev := laterOf(now+1, q.busyUntil); ev < next {
@@ -667,6 +681,7 @@ func (q *Queue) commit(fid uint64) {
 	delete(q.bdryAcks, fid)
 	delete(q.flushAcks, fid)
 	q.flushID++
+	q.confirm()
 	q.Committed++
 }
 
@@ -685,7 +700,7 @@ func (q *Queue) DrainStep(exchange func(m noc.Message)) (progress bool) {
 	saved := q.sinks.Send
 	q.sinks.Send = exchange
 	defer func() { q.sinks.Send = saved }()
-	for q.canFlush(q.flushID) {
+	for q.flushReady {
 		fid := q.flushID
 		for {
 			i := q.findRegion(fid)
