@@ -2,10 +2,7 @@
 // each reproduced table or figure. With no positional arguments it runs
 // everything; otherwise arguments name the experiments to run (fig7 fig8
 // fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 tab2 regions
-// hwcost recovery crashfuzz ablation-lrpo ablation-compiler). The stepper
-// benchmark "corebench" is opt-in: name it explicitly (with -core-json,
-// -core-apps, -core-min-speedup) to time the event/epoch fast path against
-// the naive per-cycle stepper.
+// hwcost recovery crashfuzz ablation-lrpo ablation-compiler).
 //
 // The evaluation grid is embarrassingly parallel: every driver declares its
 // run set up front and distinct simulations fan out across a worker pool
@@ -61,12 +58,6 @@ func main() {
 		"write a machine-readable run summary (e.g. BENCH_runner.json)")
 	timelineDir := flag.String("timeline-dir", "",
 		"write one Chrome trace-event timeline per fresh simulation into this directory")
-	coreJSON := flag.String("core-json", "",
-		"corebench: write the stepper benchmark report (e.g. BENCH_core.json)")
-	coreApps := flag.String("core-apps", "",
-		"corebench: comma-separated application subset (default: all evaluation profiles)")
-	coreMinSpeedup := flag.Float64("core-min-speedup", 0,
-		"corebench: fail unless the geomean fast-path speedup reaches this factor (0 disables)")
 	flag.Parse()
 	log, err := common.Logger()
 	if err != nil {
@@ -89,26 +80,21 @@ func main() {
 	r := common.NewRunner()
 	r.SetTimelineDir(*timelineDir)
 
-	// The experiments registry plus the drivers that cannot live there
-	// (crashfuzz imports internal/experiments) or are opt-in only (the
-	// stepper benchmark doubles every run, so "run everything" skips it).
+	// The experiments registry plus crashfuzz, which cannot live there
+	// because it imports internal/experiments.
 	type exp struct {
-		name  string
-		optIn bool
-		run   func() (fmt.Stringer, error)
+		name string
+		run  func() (fmt.Stringer, error)
 	}
 	var exps []exp
 	for _, e := range experiments.Registry() {
 		e := e
-		exps = append(exps, exp{e.Name, false, func() (fmt.Stringer, error) { return e.Run(r) }})
+		exps = append(exps, exp{e.Name, func() (fmt.Stringer, error) { return e.Run(r) }})
 	}
-	exps = append(exps, exp{"crashfuzz", false, func() (fmt.Stringer, error) {
+	exps = append(exps, exp{"crashfuzz", func() (fmt.Stringer, error) {
 		return crashfuzz.Smoke(context.Background(), crashfuzz.Config{
 			Faults: plan, Pool: experiments.NewPool(common.Workers),
 		})
-	}})
-	exps = append(exps, exp{"corebench", true, func() (fmt.Stringer, error) {
-		return coreBench(*coreApps, *coreJSON, *coreMinSpeedup)
 	}})
 	known := map[string]bool{}
 	for _, e := range exps {
@@ -128,7 +114,7 @@ func main() {
 	start := time.Now()
 	var ran []string
 	for _, e := range exps {
-		if !want[e.name] && (!all || e.optIn) {
+		if !all && !want[e.name] {
 			continue
 		}
 		expStart := time.Now()
@@ -174,32 +160,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// coreBench runs the event/epoch stepper benchmark over the selected
-// applications, writes the JSON report if asked, and enforces the speedup
-// guardrail.
-func coreBench(apps, jsonPath string, minSpeedup float64) (fmt.Stringer, error) {
-	profiles, err := experiments.CoreBenchProfiles(apps)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := experiments.CoreBench(context.Background(), profiles)
-	if err != nil {
-		return nil, err
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "\t")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
-	if minSpeedup > 0 && rep.GeomeanSpeedup < minSpeedup {
-		return nil, fmt.Errorf("corebench: geomean speedup %.2fx below the %.2fx guardrail",
-			rep.GeomeanSpeedup, minSpeedup)
-	}
-	return rep, nil
 }

@@ -33,8 +33,7 @@ import (
 const (
 	// WorkersEnv overrides the default worker-pool size (-j).
 	WorkersEnv = "LIGHTWSP_WORKERS"
-	// VerboseEnv, when non-empty, turns on progress lines (-v). The legacy
-	// BENCH_VERBOSE spelling is honored too.
+	// VerboseEnv, when non-empty, turns on progress lines (-v).
 	VerboseEnv = "LIGHTWSP_VERBOSE"
 	// FaultsEnv supplies a default persist-fabric fault plan (-faults).
 	FaultsEnv = "LIGHTWSP_FAULTS"
@@ -98,7 +97,7 @@ func (c *Common) Register(fs *flag.FlagSet) {
 		"simulation worker-pool size (default $"+WorkersEnv+" or GOMAXPROCS)")
 	fs.StringVar(&c.CacheDir, "cache", os.Getenv(experiments.CacheDirEnv),
 		"persistent result-cache directory (empty disables; defaults to $"+experiments.CacheDirEnv+")")
-	fs.BoolVar(&c.Verbose, "v", os.Getenv(VerboseEnv) != "" || os.Getenv("BENCH_VERBOSE") != "",
+	fs.BoolVar(&c.Verbose, "v", os.Getenv(VerboseEnv) != "",
 		"print progress lines (default set when $"+VerboseEnv+" is non-empty)")
 	fs.StringVar(&c.FaultSpec, "faults", os.Getenv(FaultsEnv),
 		"persist-fabric fault plan, e.g. \"drop=10,dup=5,delay=20:48,reorder=5,stuck=1@100+500\" "+

@@ -133,43 +133,6 @@ func (rt *Runtime) Run(ctx context.Context, maxCycles uint64) (*machine.System, 
 	return sys, nil
 }
 
-// CheckpointResult is one planned power failure: the drain report, the
-// durable crash image, and the successor machine already recovered from it.
-//
-// Deprecated: it is Checkpoint's result; see Checkpoint.
-type CheckpointResult struct {
-	// Report is the §IV-F drain summary.
-	Report machine.FailureReport
-	// Image is the persisted image exactly as the drain left it — cloned
-	// before recovery's undo rollback mutates the machine's copy, so it is
-	// byte-for-byte what a snapshot store should persist. Recovering from a
-	// deserialized copy of it reproduces System.
-	Image *mem.Image
-	// System is the recovered successor, resuming each thread at its latest
-	// persisted region boundary. The checkpointed machine is dead.
-	System *machine.System
-}
-
-// Checkpoint executes a planned power failure on sys: drain via the §IV-F
-// protocol, capture the durable crash image, and boot the recovered
-// successor. This is how a durable session snapshots a live machine — the
-// snapshot point is a real power-failure cut, so resuming from the stored
-// image later replays the identical trajectory the successor ran. sys is
-// dead afterwards; continue on the returned System.
-//
-// Deprecated: call sys.PowerFail, clone sys.PM() as the crash image and
-// Recover from sys.PM() with the report's RegionCounter, as durable
-// sessions do.
-func (rt *Runtime) Checkpoint(sys *machine.System) (*CheckpointResult, error) {
-	rep := sys.PowerFail()
-	img := sys.PM().Clone()
-	rec, err := rt.Recover(sys.PM(), rep.RegionCounter)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointResult{Report: rep, Image: img, System: rec}, nil
-}
-
 // CrashResult reports one crash/recover round trip.
 type CrashResult struct {
 	// Failed is false if execution completed before the injection point
@@ -274,26 +237,4 @@ func recoveryFingerprint(sys *machine.System, threads int) string {
 		fp += fmt.Sprintf(":%x", sys.PM().Read(mem.CkptAddr(t, mem.CkptSlotPC)))
 	}
 	return fp
-}
-
-// VerifyCrashConsistency runs the program once failure-free and once with a
-// failure at failCycle, and checks that the final persisted program data is
-// identical (DESIGN.md invariant 5). It returns the failure-free system for
-// further inspection.
-//
-// Deprecated: call Run and RunWithFailure and compare their persisted
-// images with recovery.VerifyEquivalence (lightwsp.VerifyEquivalence).
-func (rt *Runtime) VerifyCrashConsistency(ctx context.Context, failCycle, maxCycles uint64) (*machine.System, error) {
-	clean, err := rt.Run(ctx, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	crashed, err := rt.RunWithFailure(ctx, failCycle, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	if err := recovery.VerifyEquivalence(crashed.Recovered.PM(), clean.PM()); err != nil {
-		return nil, fmt.Errorf("failure at cycle %d: %w", failCycle, err)
-	}
-	return clean, nil
 }

@@ -507,7 +507,10 @@ func TestConstPrunedAcrossCallResume(t *testing.T) {
 // TestCheckpointSuccessorMatchesImportedRecovery is the durable-session
 // contract: a planned power failure's successor machine and a machine
 // recovered later from the serialized crash image must be indistinguishable
-// — same milestone events, same outputs, same final memory.
+// — same milestone events, same outputs, same final memory. The cut is
+// taken as Session.execSnap takes it: PowerFail, clone the drained image
+// before recovery's undo rollback mutates it, and Recover from the
+// machine's own PM.
 func TestCheckpointSuccessorMatchesImportedRecovery(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
 	clean, err := rt.Run(context.Background(), maxCycles)
@@ -526,29 +529,31 @@ func TestCheckpointSuccessorMatchesImportedRecovery(t *testing.T) {
 	if done, err := sys.RunUntilContext(context.Background(), cut); err != nil || done {
 		t.Fatalf("pre-checkpoint run: done=%v err=%v", done, err)
 	}
-	res, err := rt.Checkpoint(sys)
+	rep := sys.PowerFail()
+	img := sys.PM().Clone()
+	succ, err := rt.Recover(sys.PM(), rep.RegionCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Path A: continue on the checkpoint's own successor.
+	// Path A: continue on the cut's own successor.
 	var evA []probe.Event
-	res.System.SetProbeSink(probe.SinkFunc(func(e probe.Event) {
+	succ.SetProbeSink(probe.SinkFunc(func(e probe.Event) {
 		if probe.MilestoneKind(e.Kind) {
 			evA = append(evA, e)
 		}
 	}))
-	if err := res.System.RunContext(context.Background(), maxCycles); err != nil {
+	if err := succ.RunContext(context.Background(), maxCycles); err != nil {
 		t.Fatal(err)
 	}
 
 	// Path B: serialize the durable image, deserialize, recover, continue —
 	// what a restarted server does.
-	imported, err := mem.ImportImage(res.Image.Export())
+	imported, err := mem.ImportImage(img.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
-	recB, err := rt.Recover(imported, res.Report.RegionCounter)
+	recB, err := rt.Recover(imported, rep.RegionCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,16 +575,16 @@ func TestCheckpointSuccessorMatchesImportedRecovery(t *testing.T) {
 			t.Fatalf("milestone %d diverges: %+v vs %+v", i, evA[i], evB[i])
 		}
 	}
-	if len(res.System.Output) != len(recB.Output) {
-		t.Fatalf("output lengths diverge: %d vs %d", len(res.System.Output), len(recB.Output))
+	if len(succ.Output) != len(recB.Output) {
+		t.Fatalf("output lengths diverge: %d vs %d", len(succ.Output), len(recB.Output))
 	}
-	for i := range res.System.Output {
-		if res.System.Output[i] != recB.Output[i] {
+	for i := range succ.Output {
+		if succ.Output[i] != recB.Output[i] {
 			t.Fatalf("output %d diverges", i)
 		}
 	}
-	if !res.System.PM().Equal(recB.PM()) {
-		t.Fatalf("final PM diverges: %v", res.System.PM().Diff(recB.PM(), 5))
+	if !succ.PM().Equal(recB.PM()) {
+		t.Fatalf("final PM diverges: %v", succ.PM().Diff(recB.PM(), 5))
 	}
 	// And the whole detour is invisible to the program: final data matches
 	// the failure-free run.
@@ -588,6 +593,8 @@ func TestCheckpointSuccessorMatchesImportedRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointRequiresRecoveryMetadata: an uninstrumented scheme writes
+// no checkpoints, so a cut on it cannot be recovered.
 func TestCheckpointRequiresRecoveryMetadata(t *testing.T) {
 	sch := machine.Scheme{Name: "plain"} // uninstrumented: no checkpoints
 	rt, err := NewRuntimeFor(mixProg(), compiler.Config{}, smallCfg(), sch, nil)
@@ -601,7 +608,8 @@ func TestCheckpointRequiresRecoveryMetadata(t *testing.T) {
 	if done, err := sys.RunUntilContext(context.Background(), 100); err != nil || done {
 		t.Fatalf("short run: done=%v err=%v", done, err)
 	}
-	if _, err := rt.Checkpoint(sys); !errors.Is(err, wsperr.ErrUnrecoverable) {
-		t.Fatalf("checkpoint without metadata: %v", err)
+	rep := sys.PowerFail()
+	if _, err := rt.Recover(sys.PM(), rep.RegionCounter); !errors.Is(err, wsperr.ErrUnrecoverable) {
+		t.Fatalf("recovery without metadata: %v", err)
 	}
 }

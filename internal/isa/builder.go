@@ -39,12 +39,6 @@ func (b *Builder) Func(name string) int {
 	return len(b.prog.Funcs) - 1
 }
 
-// SetEntry marks function index fi as the program entry point.
-//
-// Deprecated: the first function declared with Func is the entry point;
-// declare the entry function first.
-func (b *Builder) SetEntry(fi int) { b.prog.Entry = fi }
-
 // NewBlock appends a fresh block to the current function, makes it current,
 // and returns its index (usable as a branch target).
 func (b *Builder) NewBlock() int {

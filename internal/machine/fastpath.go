@@ -42,8 +42,7 @@ const noEvent = ^uint64(0)
 // SetNaiveStepper switches the machine to the reference per-cycle stepper
 // (true) or the event/epoch fast path (false, the default). The two are
 // byte-identical in every observable — final PM image, stats, probe event
-// stream; the naive stepper exists as the equivalence oracle and the
-// benchmark baseline.
+// stream; the naive stepper exists as the equivalence oracle.
 func (s *System) SetNaiveStepper(v bool) { s.naiveStep = v }
 
 // FastForwardStats reports how many cycles the event/epoch scheduler

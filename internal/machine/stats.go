@@ -90,29 +90,6 @@ func (s *Stats) L1MissRate() float64 {
 	return float64(s.L1Misses) / float64(t) * 100
 }
 
-// ConflictRate returns buffer-snooping conflicts per mille of searches
-// (Table II's metric).
-//
-// Deprecated: divide SnoopConflicts by SnoopSearches, as the Table II
-// driver does.
-func (s *Stats) ConflictRate() float64 {
-	if s.SnoopSearches == 0 {
-		return 0
-	}
-	return float64(s.SnoopConflicts) / float64(s.SnoopSearches) * 1000
-}
-
-// WPQHitsPerMInst returns WPQ load hits per million instructions (Fig. 18).
-//
-// Deprecated: divide WPQCAMHits by Instructions, as the Fig. 18 driver
-// does.
-func (s *Stats) WPQHitsPerMInst() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.WPQCAMHits) / float64(s.Instructions) * 1e6
-}
-
 // InstrPerRegion returns the average dynamic instructions per region.
 func (s *Stats) InstrPerRegion() float64 {
 	if s.RegionsClosed == 0 {

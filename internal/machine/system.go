@@ -266,12 +266,6 @@ func (s *System) nextRegion() uint64 {
 	return s.regionCounter
 }
 
-// NextRegionID returns the next region ID the counter would hand out.
-//
-// Deprecated: a cut's FailureReport carries the region counter
-// (RegionCounter); the next ID is one more.
-func (s *System) NextRegionID() uint64 { return s.regionCounter + 1 }
-
 func (s *System) pmWrite(addr, val uint64) { s.pm.Write(addr, val) }
 
 func (s *System) onFlush(mcID int, e wpq.Entry) {
@@ -305,11 +299,6 @@ func (s *System) SetFaultInjector(inj *faults.Injector) {
 		m.q.EnableRetry()
 	}
 }
-
-// FaultInjector returns the attached injector (nil when fault-free).
-//
-// Deprecated: keep the injector passed to SetFaultInjector.
-func (s *System) FaultInjector() *faults.Injector { return s.inj }
 
 // Degraded reports whether controller mc was declared degraded.
 func (s *System) Degraded(mc int) bool { return s.degradedMC[mc] }
@@ -398,11 +387,6 @@ func (s *System) PM() *mem.Image { return s.pm }
 
 // Prog returns the program the machine runs (after any load-time stripping).
 func (s *System) Prog() *isa.Program { return s.prog }
-
-// SchemeInfo returns the persistence scheme.
-//
-// Deprecated: use the Scheme the machine was built with (Runtime.Sch).
-func (s *System) SchemeInfo() Scheme { return s.scheme }
 
 // Done reports whether execution and persistence both finished: all threads
 // halted, every store buffer and persist path drained, every WPQ empty, no

@@ -344,15 +344,13 @@ func TestDrainInterruptedDumpsFlights(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, FlightDir: flightDir})
 
 	const trace = "drain-victim-01"
-	// Long enough to still be in flight when the drain fires; its own
-	// deadline bounds how long the test waits for cleanup.
-	done := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "hmmer", TimeoutMS: 2000})
+	done, release := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "hmmer", TimeoutMS: 2000})
 
-	d := drainInterrupted(t, s, flightDir, trace)
+	d := drainInterrupted(t, s, flightDir, trace, release)
 	if d.Reason != "drain-interrupted" || d.TraceID != trace {
 		t.Fatalf("dump header %+v, want reason drain-interrupted trace %q", d, trace)
 	}
-	<-done // the run 504s on its own 2s deadline; cleanup then closes ts
+	<-done // the run ends once the pool is released; cleanup then closes ts
 }
 
 // TestDrainDumpsFlightUnderSharedTrace: two in-flight requests may share a
@@ -368,27 +366,39 @@ func TestDrainDumpsFlightUnderSharedTrace(t *testing.T) {
 	}
 
 	const trace = "shared-trace-01"
-	done := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "lbm", TimeoutMS: 2000})
+	done, release := runInFlight(t, s, ts.URL, trace, RunRequest{Suite: "cpu2006", App: "lbm", TimeoutMS: 2000})
 	// A warm read under the same trace ID starts and finishes meanwhile.
 	if resp, body := postTraced(t, ts.URL+"/v1/run", trace, warm); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm read: status %d: %s", resp.StatusCode, body)
 	}
 
-	d := drainInterrupted(t, s, flightDir, trace)
+	d := drainInterrupted(t, s, flightDir, trace, release)
 	if d.Reason != "drain-interrupted" || d.TraceID != trace || d.App != "lbm" {
 		t.Fatalf("dump header %+v, want reason drain-interrupted trace %q app lbm", d, trace)
 	}
 	<-done
 }
 
-// runInFlight posts req under trace from a goroutine and returns once the
-// request's flight recorder is registered as in flight. The returned channel
-// closes when the request completes.
-func runInFlight(t *testing.T, s *Server, url, trace string, req RunRequest) <-chan struct{} {
+// runInFlight holds every slot of s's worker pool, posts req under trace
+// from a goroutine, and returns once the request's flight recorder is
+// registered as in flight. The request then waits for a slot in
+// Pool.DoCtx, so it stays in flight however fast its run would be, until
+// release frees the pool. done closes when the request completes.
+func runInFlight(t *testing.T, s *Server, url, trace string, req RunRequest) (done <-chan struct{}, release func()) {
 	t.Helper()
-	done := make(chan struct{})
+	held, free := make(chan struct{}), make(chan struct{})
+	for i := 0; i < s.pool.Size(); i++ {
+		go s.pool.Do(func() {
+			held <- struct{}{}
+			<-free
+		})
+	}
+	for i := 0; i < s.pool.Size(); i++ {
+		<-held
+	}
+	finished := make(chan struct{})
 	go func() {
-		defer close(done)
+		defer close(finished)
 		body, _ := json.Marshal(req)
 		hreq, err := http.NewRequest(http.MethodPost, url+"/v1/run", bytes.NewReader(body))
 		if err != nil {
@@ -407,11 +417,12 @@ func runInFlight(t *testing.T, s *Server, url, trace string, req RunRequest) <-c
 	deadline := time.Now().Add(5 * time.Second)
 	for !inflightTrace(s, trace) {
 		if time.Now().After(deadline) {
+			close(free)
 			t.Fatal("run never registered a flight recorder")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return done
+	return finished, func() { close(free) }
 }
 
 // inflightTrace reports whether a flight recorder with the given trace ID
@@ -427,10 +438,12 @@ func inflightTrace(s *Server, trace string) bool {
 	return false
 }
 
-// drainInterrupted drains s with a 50 ms deadline that work in flight
-// outlives, and returns the flight dump left under trace.
-func drainInterrupted(t *testing.T, s *Server, flightDir, trace string) obs.FlightDump {
+// drainInterrupted drains s with a 50 ms deadline that the request
+// runInFlight holds outlives, releases the pool after the drain, and
+// returns the flight dump left under trace.
+func drainInterrupted(t *testing.T, s *Server, flightDir, trace string, release func()) obs.FlightDump {
 	t.Helper()
+	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(ctx); err == nil {
