@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"lightwsp/internal/compiler"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/workload"
 )
@@ -296,7 +297,7 @@ func BenchmarkSingleWorkload(b *testing.B) {
 	p, _ := workload.ByName(workload.CPU2006, "hmmer")
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner() // no memoization: measure the real run
-		if _, err := r.Run(p, experiments.LightWSP(), experiments.CompilerDefaults()); err != nil {
+		if _, err := r.Run(p, experiments.LightWSP(), compiler.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -147,15 +147,12 @@ func run(suite, app string, failAt float64, threads int, verbose, traceOrder boo
 		res.Report.Cycle, res.Report.Discarded)
 	fmt.Printf("recovered and finished in %d further cycles\n", res.Recovered.Stats.Cycles)
 
+	if err := recovery.Verdict(res.Recovered, clean.PM(), p.Threads); err != nil {
+		return err
+	}
 	if p.Threads == 1 {
-		if err := lightwsp.VerifyEquivalence(res.Recovered.PM(), clean.PM()); err != nil {
-			return err
-		}
 		fmt.Println("verified: persisted data identical to the failure-free run")
 	} else {
-		if !res.Recovered.PM().EqualRange(res.Recovered.Arch(), 0, recovery.UserRangeEnd) {
-			return fmt.Errorf("PM diverges from the architectural state after recovery")
-		}
 		fmt.Println("verified: whole-system persistence holds after recovery (PM ≡ architectural state)")
 	}
 	return nil

@@ -28,11 +28,14 @@ import (
 
 // Environment fallbacks for the shared flags: each flag's default comes from
 // its variable when set, so CI lanes and containers configure the tools
-// without threading flags through every invocation. The cache directory
-// reuses experiments.CacheDirEnv (LIGHTWSP_CACHE_DIR).
+// without threading flags through every invocation.
 const (
 	// WorkersEnv overrides the default worker-pool size (-j).
 	WorkersEnv = "LIGHTWSP_WORKERS"
+	// CacheDirEnv supplies the default persistent result-cache directory
+	// (-cache). The flag is its only reader: a Runner built in code has no
+	// cache until one is set on it.
+	CacheDirEnv = "LIGHTWSP_CACHE_DIR"
 	// VerboseEnv, when non-empty, turns on progress lines (-v).
 	VerboseEnv = "LIGHTWSP_VERBOSE"
 	// FaultsEnv supplies a default persist-fabric fault plan (-faults).
@@ -95,8 +98,8 @@ type Common struct {
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "j", envInt(WorkersEnv, runtime.GOMAXPROCS(0)),
 		"simulation worker-pool size (default $"+WorkersEnv+" or GOMAXPROCS)")
-	fs.StringVar(&c.CacheDir, "cache", os.Getenv(experiments.CacheDirEnv),
-		"persistent result-cache directory (empty disables; defaults to $"+experiments.CacheDirEnv+")")
+	fs.StringVar(&c.CacheDir, "cache", os.Getenv(CacheDirEnv),
+		"persistent result-cache directory (empty disables; defaults to $"+CacheDirEnv+")")
 	fs.BoolVar(&c.Verbose, "v", os.Getenv(VerboseEnv) != "",
 		"print progress lines (default set when $"+VerboseEnv+" is non-empty)")
 	fs.StringVar(&c.FaultSpec, "faults", os.Getenv(FaultsEnv),

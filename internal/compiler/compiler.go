@@ -39,11 +39,22 @@ type Config struct {
 	DisableCombining bool
 }
 
-// DefaultConfig returns the paper's default compiler configuration:
-// threshold 32 (half of the 64-entry WPQ), unrolling capped at 4x.
-func DefaultConfig() Config {
-	return Config{StoreThreshold: 32, MaxUnroll: 4}
+// Resolve applies the paper's defaults (§IV-A) for a WPQ of wpqEntries
+// entries: a zero StoreThreshold becomes half the WPQ and, with it, a zero
+// MaxUnroll the 4x cap. A set StoreThreshold keeps the caller's MaxUnroll.
+func (c Config) Resolve(wpqEntries int) Config {
+	if c.StoreThreshold == 0 {
+		c.StoreThreshold = wpqEntries / 2
+		if c.MaxUnroll == 0 {
+			c.MaxUnroll = 4
+		}
+	}
+	return c
 }
+
+// DefaultConfig returns the paper's default compiler configuration for the
+// default 64-entry WPQ: threshold 32, unrolling capped at 4x.
+func DefaultConfig() Config { return Config{}.Resolve(64) }
 
 // Recipe reconstructs one pruned checkpoint: at recovery time the register
 // holds a compile-time constant instead of a checkpoint-array load.

@@ -57,6 +57,25 @@ func storeLoop(iters ...int) *isa.Program {
 	return p
 }
 
+// TestResolveDefaults: a zero threshold is half the WPQ (§IV-A) with the
+// 4x unroll cap, a caller's unroll cap and pass switches survive it, and a
+// set threshold is left alone.
+func TestResolveDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want Config }{
+		{Config{}, Config{StoreThreshold: 128, MaxUnroll: 4}},
+		{Config{MaxUnroll: 1}, Config{StoreThreshold: 128, MaxUnroll: 1}},
+		{Config{DisablePruning: true}, Config{StoreThreshold: 128, MaxUnroll: 4, DisablePruning: true}},
+		{Config{StoreThreshold: 16}, Config{StoreThreshold: 16}},
+	} {
+		if got := tc.in.Resolve(256); got != tc.want {
+			t.Errorf("%+v.Resolve(256) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+	if got := DefaultConfig(); got != (Config{StoreThreshold: 32, MaxUnroll: 4}) {
+		t.Errorf("DefaultConfig() = %+v", got)
+	}
+}
+
 func TestEntryExitBoundaries(t *testing.T) {
 	res := mustCompile(t, straightLine(3), DefaultConfig())
 	f := res.Prog.Funcs[0]

@@ -51,29 +51,16 @@ type Runtime struct {
 	prog *isa.Program // the source program, pre-compilation
 }
 
-// NewRuntime compiles prog for LightWSP under the given configurations.
-// The compiler's store threshold defaults to half the WPQ size (§IV-A) when
-// ccfg.StoreThreshold is zero.
-func NewRuntime(prog *isa.Program, ccfg compiler.Config, mcfg machine.Config) (*Runtime, error) {
-	return NewRuntimeFor(prog, ccfg, mcfg, Scheme(), nil)
-}
-
-// NewRuntimeFor builds a runtime for an arbitrary scheme: instrumented
-// schemes compile prog first (a zero ccfg.StoreThreshold resolves to half
-// the WPQ size), uninstrumented ones run it as built. sink, when non-nil,
-// is attached to every system the runtime boots.
+// NewRuntimeFor builds a runtime for a scheme: instrumented schemes compile
+// prog first under ccfg.Resolve(mcfg.WPQEntries) (a zero store threshold is
+// half the WPQ, §IV-A), uninstrumented ones run it as built. sink, when
+// non-nil, is attached to every system the runtime boots.
 func NewRuntimeFor(prog *isa.Program, ccfg compiler.Config, mcfg machine.Config, sch machine.Scheme, sink probe.Sink) (*Runtime, error) {
 	rt := &Runtime{Cfg: mcfg, Sch: sch, Probe: sink, prog: prog}
 	if !sch.Instrumented {
 		return rt, nil
 	}
-	if ccfg.StoreThreshold == 0 {
-		ccfg.StoreThreshold = mcfg.WPQEntries / 2
-		if ccfg.MaxUnroll == 0 {
-			ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
-		}
-	}
-	res, err := compiler.Compile(prog, ccfg)
+	res, err := compiler.Compile(prog, ccfg.Resolve(mcfg.WPQEntries))
 	if err != nil {
 		return nil, err
 	}

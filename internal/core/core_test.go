@@ -80,7 +80,7 @@ func mixProg() *isa.Program {
 
 func newRT(t *testing.T, p *isa.Program, cfg machine.Config) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(p, compiler.Config{}, cfg)
+	rt, err := NewRuntimeFor(p, compiler.Config{}, cfg, Scheme(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,8 @@ func TestLightWSPCompletesAndPersistsEverything(t *testing.T) {
 	}
 	// Whole-system persistence: after the final region commits, PM holds
 	// the complete architectural data image.
-	if !sys.PM().EqualRange(sys.Arch(), 0, recovery.UserRangeEnd) {
-		t.Fatalf("PM != arch after completion: %v", sys.PM().Diff(sys.Arch(), 5))
+	if err := recovery.VerifyPMMatchesArch(sys.PM(), sys.Arch()); err != nil {
+		t.Fatalf("PM != arch after completion: %v", err)
 	}
 	if got := sys.PM().Read(0x10000); got != 7 {
 		t.Fatalf("first loop store = %d", got)
@@ -418,7 +418,7 @@ func TestOverflowEscapeEndToEnd(t *testing.T) {
 	cfg.Threads = 4
 	cfg.WPQEntries = 12
 	cfg.FEBEntries = 12
-	rt, err := NewRuntime(prog, compiler.Config{StoreThreshold: 6, MaxUnroll: 1}, cfg)
+	rt, err := NewRuntimeFor(prog, compiler.Config{StoreThreshold: 6, MaxUnroll: 1}, cfg, Scheme(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func FuzzCrashConsistency(f *testing.F) {
 		cfg := machine.DefaultConfig()
 		cfg.Cores = 2
 		cfg.Threads = 1
-		rt, err := NewRuntime(prog, compiler.Config{StoreThreshold: threshold, MaxUnroll: 4}, cfg)
+		rt, err := NewRuntimeFor(prog, compiler.Config{StoreThreshold: threshold, MaxUnroll: 4}, cfg, Scheme(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -28,7 +28,7 @@ func TestRandomProgramsCrashConsistency(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		prog := workload.RandomProgram(seed)
 		threshold := []int{12, 32}[seed%2]
-		rt, err := NewRuntime(prog, compiler.Config{StoreThreshold: threshold, MaxUnroll: 4}, cfg)
+		rt, err := NewRuntimeFor(prog, compiler.Config{StoreThreshold: threshold, MaxUnroll: 4}, cfg, Scheme(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -62,7 +62,7 @@ func TestRandomProgramsWholeSystemPersistence(t *testing.T) {
 	cfg.Cores = 2
 	cfg.Threads = 1
 	for seed := int64(100); seed < 120; seed++ {
-		rt, err := NewRuntime(workload.RandomProgram(seed), compiler.Config{}, cfg)
+		rt, err := NewRuntimeFor(workload.RandomProgram(seed), compiler.Config{}, cfg, Scheme(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -70,9 +70,8 @@ func TestRandomProgramsWholeSystemPersistence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !sys.PM().EqualRange(sys.Arch(), 0, recovery.UserRangeEnd) {
-			t.Fatalf("seed %d: PM != architectural state: %v",
-				seed, sys.PM().Diff(sys.Arch(), 5))
+		if err := recovery.VerifyPMMatchesArch(sys.PM(), sys.Arch()); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -87,7 +86,7 @@ func TestUnrollingPreservesSemantics(t *testing.T) {
 	for seed := int64(200); seed < 215; seed++ {
 		prog := workload.RandomProgram(seed)
 		run := func(unroll int) *machine.System {
-			rt, err := NewRuntime(prog, compiler.Config{StoreThreshold: 32, MaxUnroll: unroll}, cfg)
+			rt, err := NewRuntimeFor(prog, compiler.Config{StoreThreshold: 32, MaxUnroll: unroll}, cfg, Scheme(), nil)
 			if err != nil {
 				t.Fatalf("seed %d unroll %d: %v", seed, unroll, err)
 			}
@@ -98,9 +97,8 @@ func TestUnrollingPreservesSemantics(t *testing.T) {
 			return sys
 		}
 		plain, unrolled := run(1), run(4)
-		if !plain.PM().EqualRange(unrolled.PM(), 0, recovery.UserRangeEnd) {
-			t.Fatalf("seed %d: unrolling changed the persisted result: %v",
-				seed, plain.PM().Diff(unrolled.PM(), 5))
+		if err := recovery.VerifyEquivalence(unrolled.PM(), plain.PM()); err != nil {
+			t.Fatalf("seed %d: unrolling changed the persisted result: %v", seed, err)
 		}
 	}
 }
@@ -172,7 +170,7 @@ func testControllers(t *testing.T, numMCs int) {
 	cfg.Threads = 1
 	cfg.NumMCs = numMCs
 	for seed := int64(300); seed < 310; seed++ {
-		rt, err := NewRuntime(workload.RandomProgram(seed), compiler.Config{}, cfg)
+		rt, err := NewRuntimeFor(workload.RandomProgram(seed), compiler.Config{}, cfg, Scheme(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

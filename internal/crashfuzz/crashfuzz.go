@@ -71,6 +71,7 @@ import (
 	"lightwsp/internal/faults"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/mem"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/stats"
 	"lightwsp/internal/workload"
 	"lightwsp/internal/wsperr"
@@ -98,11 +99,15 @@ type Config struct {
 	// the miniature workload.FuzzSmokeProfiles set).
 	Profile workload.Profile
 	// Machine is the simulated hardware; a zero value means the scaled
-	// Table I configuration (experiments.ScaledConfig). Threads is always
-	// overridden from the profile.
+	// Table I configuration (experiments.ScaledConfig). It goes through
+	// experiments.ResolveConfigs as a mutator that replaces the scaled
+	// configuration but keeps the profile's thread count, and the cores
+	// are then raised to cover the threads.
 	Machine machine.Config
-	// Compiler configures region formation; a zero StoreThreshold resolves
-	// to half the WPQ size (§IV-A), exactly as the experiments Runner does.
+	// Compiler configures region formation. It goes through
+	// experiments.ResolveConfigs, exactly as the experiments Runner's
+	// configuration does: a zero StoreThreshold resolves to half the WPQ
+	// size (§IV-A).
 	Compiler compiler.Config
 
 	// ExhaustiveThreshold, MaxInjections and MaxInteresting tune the
@@ -310,27 +315,16 @@ func Smoke(ctx context.Context, base Config) (SmokeResults, error) {
 // oracle and plans the schedules.
 func newCampaign(ctx context.Context, cfg Config) (*campaign, error) {
 	p := cfg.Profile
-	mcfg := cfg.Machine
-	if mcfg.Cores == 0 {
-		mcfg = experiments.ScaledConfig()
+	var muts []experiments.Mutator
+	if cfg.Machine.Cores != 0 {
+		muts = append(muts, func(m *machine.Config) {
+			threads := m.Threads
+			*m = cfg.Machine
+			m.Threads = threads
+		})
 	}
-	if p.Threads > 0 {
-		mcfg.Threads = p.Threads
-	}
-	if mcfg.Threads < 1 {
-		mcfg.Threads = 1
-	}
-	if mcfg.Threads > mcfg.Cores {
-		mcfg.Cores = mcfg.Threads
-	}
-	ccfg := cfg.Compiler
-	if ccfg.StoreThreshold == 0 {
-		ccfg.StoreThreshold = mcfg.WPQEntries / 2
-		if ccfg.MaxUnroll == 0 {
-			ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
-		}
-	}
-	rt, err := buildRuntime(p, ccfg, mcfg)
+	mcfg, ccfg := experiments.ResolveConfigs(p, cfg.Compiler, muts...)
+	rt, err := experiments.BuildRuntime(p, core.Scheme(), mcfg, ccfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -589,7 +583,7 @@ func (c *campaign) cached(sched Schedule) (outcome, bool) {
 // judge takes one replayed schedule's verdict: a pass is memoized, a
 // divergence is shrunk.
 func (c *campaign) judge(sched Schedule, rep *ReplayResult) outcome {
-	if verr := verdict(rep.Sys, c.orc, c.mcfg.Threads); verr != nil {
+	if verr := recovery.Verdict(rep.Sys, c.orc.pm, c.mcfg.Threads); verr != nil {
 		return c.diverge(sched, rep, verr)
 	}
 	c.store(sched, rep.Fired)
@@ -633,7 +627,7 @@ func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcom
 			return false // a broken replay is not a reproduction
 		}
 		shrinkCuts += r.Fired
-		return verdict(r.Sys, c.orc, c.mcfg.Threads) != nil
+		return recovery.Verdict(r.Sys, c.orc.pm, c.mcfg.Threads) != nil
 	}
 	minimal, n := Shrink(sched, func(s Schedule) bool {
 		return failsWith(s, c.cfg.Faults)
@@ -646,7 +640,7 @@ func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcom
 	// Re-derive the minimal reproducer's diff for the repro file.
 	diff := verr
 	if mrep, err := Replay(c.rt, minimal, c.maxCycles, c.cfg.CorruptPM, plan); err == nil {
-		if merr := verdict(mrep.Sys, c.orc, c.mcfg.Threads); merr != nil {
+		if merr := recovery.Verdict(mrep.Sys, c.orc.pm, c.mcfg.Threads); merr != nil {
 			diff = merr
 		}
 	}

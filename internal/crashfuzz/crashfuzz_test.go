@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"lightwsp/internal/compiler"
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/mem"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/workload"
 )
 
@@ -178,7 +181,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := buildRuntime(r.Profile, r.Compiler, r.Machine)
+	rt, err := experiments.BuildRuntime(r.Profile, core.Scheme(), r.Machine, r.Compiler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verdict(rep.Sys, orc, r.Machine.Threads) == nil {
+	if recovery.Verdict(rep.Sys, orc.pm, r.Machine.Threads) == nil {
 		t.Fatalf("shrunk repro %v no longer fails", r.Cuts)
 	}
 	// Without the corruption the same schedule passes: the harness blamed
@@ -203,7 +206,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verdict(rep.Sys, orc, r.Machine.Threads); err != nil {
+	if err := recovery.Verdict(rep.Sys, orc.pm, r.Machine.Threads); err != nil {
 		t.Fatalf("schedule %v fails even with healthy recovery: %v", r.Cuts, err)
 	}
 }
@@ -266,5 +269,42 @@ func TestVerdictCacheRoundTrip(t *testing.T) {
 	}
 	if warm.Injections != cold.Injections || warm.OracleHash != cold.OracleHash {
 		t.Fatalf("cache changed reported numbers: cold %+v, warm %+v", cold, warm)
+	}
+}
+
+// TestCampaignKeyMatchesRunner pins a campaign's run identity: its KeyHash
+// is the Runner's canonical key for the same LightWSP run, and a fixed
+// hash. Cached verdicts and repro files are keyed by it, so a change that
+// moves it orphans them.
+func TestCampaignKeyMatchesRunner(t *testing.T) {
+	hmmer, _ := workload.ByName(workload.CPU2006, "hmmer")
+	tatp, _ := workload.ByName(workload.WHISPER, "tatp")
+	for _, tc := range []struct {
+		p    workload.Profile
+		slow bool
+		want string
+	}{
+		{smokeProfile(t, "fuzz-st"), false, "7ae12de2dcd74aab181a43bf0cfafa0a696c189af931cf24f62e602bc4425e55"},
+		{smokeProfile(t, "fuzz-mt"), false, "82490c54c5b68b5bbbea4c4d76701e9f9714e01cab1afa9b276cf9562acc4973"},
+		{hmmer, false, "501d059e3ecf9fc9abe1fdaf00cdcc6d70562ded8876125100385c7fd65ea576"},
+		{tatp, true, "cd62166c2c498958732c8b503b736d6f166c6743b10d42606ac3cfad09eeb8dd"},
+	} {
+		t.Run(tc.p.Name, func(t *testing.T) {
+			if tc.slow && raceEnabled {
+				t.Skip("oracle run too slow under -race")
+			}
+			c, err := newCampaign(context.Background(), Config{Profile: tc.p, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mcfg, ccfg := experiments.ResolveConfigs(tc.p, compiler.Config{})
+			_, runner := experiments.CanonicalRunKey(tc.p, experiments.LightWSP(), mcfg, ccfg)
+			if c.keyHash != runner {
+				t.Errorf("campaign key %s, Runner key %s", c.keyHash, runner)
+			}
+			if c.keyHash != tc.want {
+				t.Errorf("campaign key %s, want %s", c.keyHash, tc.want)
+			}
+		})
 	}
 }

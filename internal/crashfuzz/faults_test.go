@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/faults"
+	"lightwsp/internal/recovery"
 )
 
 // gauntlet is the combined fabric-fault plan the faulted campaigns run
@@ -168,7 +170,7 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	// plan pass: the harness blamed the broken bookkeeping, not the fabric.
 	healthy := r.Machine
 	healthy.BrokenDupAcks = false
-	rt, err := buildRuntime(r.Profile, r.Compiler, healthy)
+	rt, err := experiments.BuildRuntime(r.Profile, core.Scheme(), healthy, r.Compiler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verdict(rep.Sys, orc, healthy.Threads); err != nil {
+	if err := recovery.Verdict(rep.Sys, orc.pm, healthy.Threads); err != nil {
 		t.Fatalf("schedule %v fails even with healthy ACK bookkeeping: %v", r.Cuts, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"lightwsp/internal/faults"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/mem"
-	"lightwsp/internal/recovery"
 )
 
 // Schedule is one failure schedule: a sequence of power-cut cycles. Cut i
@@ -100,22 +99,4 @@ func complete(sys *machine.System, sched Schedule, maxCycles uint64, res *Replay
 	}
 	res.Sys = sys
 	return res, nil
-}
-
-// verdict checks one completed replay against the oracle. Every run must
-// finish with PM ≡ final architectural state on program data; single-
-// threaded runs must additionally match the failure-free oracle word for
-// word (multi-threaded runs can legally reorder commutative critical
-// sections across a recovery, so their final data need not match any one
-// failure-free interleaving).
-func verdict(final *machine.System, orc *oracle, threads int) error {
-	if err := recovery.VerifyPMMatchesArch(final.PM(), final.Arch()); err != nil {
-		return err
-	}
-	if threads == 1 {
-		if err := recovery.VerifyEquivalence(final.PM(), orc.pm); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/faults"
 	"lightwsp/internal/machine"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/workload"
 )
 
@@ -95,7 +96,7 @@ func LoadRepro(path string) (*Repro, error) {
 // or was never real). An oracle whose cycle count or hash disagrees with the
 // repro's is reported as an environment mismatch, not a divergence.
 func ReplayRepro(r *Repro) error {
-	rt, err := buildRuntime(r.Profile, r.Compiler, r.Machine)
+	rt, err := experiments.BuildRuntime(r.Profile, core.Scheme(), r.Machine, r.Compiler, nil)
 	if err != nil {
 		return err
 	}
@@ -111,18 +112,8 @@ func ReplayRepro(r *Repro) error {
 	if err != nil {
 		return err
 	}
-	if err := verdict(res.Sys, orc, r.Machine.Threads); err != nil {
+	if err := recovery.Verdict(res.Sys, orc.pm, r.Machine.Threads); err != nil {
 		return fmt.Errorf("crashfuzz: repro still fails (cuts %v, %d fired): %w", r.Cuts, res.Fired, err)
 	}
 	return nil
-}
-
-// buildRuntime rebuilds the compiled LightWSP runtime for a profile under
-// fully resolved configurations.
-func buildRuntime(p workload.Profile, ccfg compiler.Config, mcfg machine.Config) (*core.Runtime, error) {
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRuntime(prog, ccfg, mcfg)
 }

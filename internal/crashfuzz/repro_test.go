@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lightwsp/internal/compiler"
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/workload"
@@ -82,7 +83,8 @@ func TestLoadReproRejectsBadFiles(t *testing.T) {
 // `lightwsp-crashfuzz -replay`).
 func TestReplayReproOnHealthyTree(t *testing.T) {
 	p := workload.FuzzSmokeProfiles()[0]
-	rt, err := buildRuntime(p, compiler.Config{}, resolveTestMachine(p))
+	mcfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
+	rt, err := experiments.BuildRuntime(p, core.Scheme(), mcfg, ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +111,4 @@ func TestReplayReproOnHealthyTree(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "oracle mismatch") {
 		t.Fatalf("stale oracle not flagged: %v", err)
 	}
-}
-
-// resolveTestMachine mirrors Run's machine-config resolution for a profile.
-func resolveTestMachine(p workload.Profile) machine.Config {
-	mcfg := experiments.ScaledConfig()
-	if p.Threads > 0 {
-		mcfg.Threads = p.Threads
-	}
-	if mcfg.Threads > mcfg.Cores {
-		mcfg.Cores = mcfg.Threads
-	}
-	return mcfg
 }

@@ -45,9 +45,8 @@ var walkPlans = []struct {
 func walkRuntime(t *testing.T, name string, degradeDeadline uint64) *core.Runtime {
 	t.Helper()
 	p := smokeProfile(t, name)
-	mcfg := resolveTestMachine(p)
-	mcfg.DegradeDeadline = degradeDeadline
-	rt, err := buildRuntime(p, compiler.Config{}, mcfg)
+	mcfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{}, func(m *machine.Config) { m.DegradeDeadline = degradeDeadline })
+	rt, err := experiments.BuildRuntime(p, core.Scheme(), mcfg, ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,6 @@ import (
 	"lightwsp/internal/workload"
 )
 
-// CompilerDefaults returns the zero compiler config, which Run resolves to
-// the paper's defaults (threshold = half the WPQ, 4x unrolling).
-func CompilerDefaults() compiler.Config { return compiler.Config{} }
-
 // ablationSet is the representative subset the ablations run on: one
 // cache-friendly and one memory-intensive single-threaded application plus
 // one sync-heavy parallel application per behaviour class.
@@ -105,16 +101,17 @@ type AblationCompilerRow struct {
 	GeoSlowdown float64 // vs baseline, subset geomean
 }
 
-// AblationCompiler runs the compiler-optimization ablation.
+// AblationCompiler runs the compiler-optimization ablation. Every
+// configuration keeps the default store threshold (half the WPQ, §IV-A).
 func AblationCompiler(r *Runner) (*AblationCompilerResult, error) {
 	configs := []struct {
 		name string
 		cc   compiler.Config
 	}{
-		{"default", compiler.Config{StoreThreshold: 32, MaxUnroll: 4}},
-		{"no-unroll", compiler.Config{StoreThreshold: 32, MaxUnroll: 1}},
-		{"no-combine", compiler.Config{StoreThreshold: 32, MaxUnroll: 4, DisableCombining: true}},
-		{"no-prune", compiler.Config{StoreThreshold: 32, MaxUnroll: 4, DisablePruning: true}},
+		{"default", compiler.Config{}},
+		{"no-unroll", compiler.Config{MaxUnroll: 1}},
+		{"no-combine", compiler.Config{DisableCombining: true}},
+		{"no-prune", compiler.Config{DisablePruning: true}},
 	}
 	var specs []RunSpec
 	for _, cfg := range configs {
@@ -130,16 +127,13 @@ func AblationCompiler(r *Runner) (*AblationCompilerResult, error) {
 		row := AblationCompilerRow{Config: cfg.name}
 		var sds []float64
 		for _, p := range ablationSet() {
-			prog, err := workload.Build(p)
+			mcfg, ccfg := ResolveConfigs(p, cfg.cc)
+			rt, err := BuildRuntime(p, LightWSP(), mcfg, ccfg, nil)
 			if err != nil {
 				return nil, err
 			}
-			cres, err := compiler.Compile(prog, cfg.cc)
-			if err != nil {
-				return nil, err
-			}
-			row.Checkpoints += cres.Stats.Checkpoints
-			row.Boundaries += cres.Stats.Boundaries
+			row.Checkpoints += rt.Compiled.Stats.Checkpoints
+			row.Boundaries += rt.Compiled.Stats.Boundaries
 			sd, err := r.Slowdown(p, LightWSP(), cfg.cc)
 			if err != nil {
 				return nil, err

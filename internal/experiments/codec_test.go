@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lightwsp/internal/hostfs"
 )
 
 type codecPayload struct {
@@ -133,11 +135,11 @@ func TestSessionCodecRoundTripAndScrub(t *testing.T) {
 	SnapshotCodec.Store(b, "snapcur", "session:s1#3", snapshotPayload{ID: "s1", Record: 3})
 	old := Codec{Schema: SnapshotCodec.Schema, Version: SnapshotCodec.Version - 1}
 	old.Store(b, "snapold", "session:s1#1", snapshotPayload{ID: "s1", Record: 1})
-	removed, err := Scrub(b.Dir())
+	rep, err := ScrubStore(hostfs.Disk(), b.Dir(), ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
+	if removed := rep.Removed() + rep.Quarantined; removed != 1 {
 		t.Fatalf("scrub removed %d entries, want 1 (the old-version snapshot)", removed)
 	}
 	if !SessionCodec.Load(b, manifestName, "s1", &out) {

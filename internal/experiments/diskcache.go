@@ -218,18 +218,6 @@ func ScrubStore(fsys hostfs.FS, dir string, opt ScrubOptions) (ScrubReport, erro
 	return rep, nil
 }
 
-// Scrub removes every entry in dir that no current codec claims and
-// quarantines entries whose integrity seal fails — explicit invalidation
-// for operators after a schema-version bump. It returns the number of
-// entries removed or quarantined.
-func Scrub(dir string) (int, error) {
-	rep, err := ScrubStore(hostfs.Disk(), dir, ScrubOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Removed() + rep.Quarantined, nil
-}
-
 // String renders the cache location for progress output.
 func (d *diskCache) String() string {
 	if loc, ok := d.blobs.(interface{ Dir() string }); ok {

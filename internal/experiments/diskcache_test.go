@@ -64,6 +64,28 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	}
 }
 
+// TestNewRunnerIgnoresCacheDirEnv: only the -cache flag reads
+// LIGHTWSP_CACHE_DIR. A Runner built in code stays cache-less even when
+// the variable names a directory an earlier run filled.
+func TestNewRunnerIgnoresCacheDirEnv(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("LIGHTWSP_CACHE_DIR", dir)
+	p := cheapProfile(t)
+
+	filler := NewRunner()
+	filler.SetCacheDir(dir)
+	if _, err := filler.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	if _, err := r.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Counters(); c.Fresh != 1 || c.DiskHits != 0 {
+		t.Fatalf("counters = %+v with the variable set, want one fresh run", c)
+	}
+}
+
 func TestDiskCacheRejectsCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	p := cheapProfile(t)
@@ -153,11 +175,11 @@ func TestScrubRemovesStaleEntries(t *testing.T) {
 	write("legacy.json", false, map[string]any{"schema_version": 2, "key": "older", "stats": map[string]any{}})
 	write("valid.json", true, codecEnvelope{Schema: RunCodec.Schema, Version: RunCodec.Version, Key: "current"})
 	write("verdict.json", true, codecEnvelope{Schema: VerdictCodec.Schema, Version: VerdictCodec.Version, Key: "v"})
-	removed, err := Scrub(dir)
+	rep, err := ScrubStore(hostfs.Disk(), dir, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
+	if removed := rep.Removed() + rep.Quarantined; removed != 2 {
 		t.Fatalf("Scrub removed %d entries, want 2", removed)
 	}
 	if len(cacheFiles(t, dir)) != 2 {

@@ -34,8 +34,8 @@ func TestRunKeyEqualForEqualInputs(t *testing.T) {
 	// Two independently resolved configurations with mutators of equal
 	// effect (distinct closures) must produce the same key: the key is
 	// content-addressed, not identity-addressed.
-	cfgA, ccfgA := resolve(p, compiler.Config{}, []Mutator{func(c *machine.Config) { c.NUMAExtra = 12 }})
-	cfgB, ccfgB := resolve(p, compiler.Config{}, []Mutator{func(c *machine.Config) { c.NUMAExtra = 12 }})
+	cfgA, ccfgA := ResolveConfigs(p, compiler.Config{}, func(c *machine.Config) { c.NUMAExtra = 12 })
+	cfgB, ccfgB := ResolveConfigs(p, compiler.Config{}, func(c *machine.Config) { c.NUMAExtra = 12 })
 	if runKey(p, sch, cfgA, ccfgA) != runKey(p, sch, cfgB, ccfgB) {
 		t.Fatal("equal configurations produced different run keys")
 	}
@@ -49,7 +49,7 @@ func TestRunKeyEqualForEqualInputs(t *testing.T) {
 func TestRunKeyDistinguishesEveryField(t *testing.T) {
 	p, _ := workload.ByName(workload.CPU2006, "hmmer")
 	sch := LightWSP()
-	cfg, ccfg := resolve(p, compiler.Config{}, nil)
+	cfg, ccfg := ResolveConfigs(p, compiler.Config{})
 	rekey := func() string { return runKey(p, sch, cfg, ccfg) }
 	base := rekey()
 

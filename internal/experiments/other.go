@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"lightwsp/internal/baseline"
 	"lightwsp/internal/compiler"
-	"lightwsp/internal/core"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/recovery"
 	"lightwsp/internal/stats"
@@ -27,15 +25,15 @@ type Fig18Result struct {
 	Overall []float64
 }
 
-// Fig18 measures the WPQ CAM hit rate.
+// Fig18 measures the WPQ CAM hit rate, with the store threshold at half
+// each WPQ size (the §IV-A default).
 func Fig18(r *Runner) (*Fig18Result, error) {
 	sizes := []int{256, 128, 64}
 	var specs []RunSpec
 	for _, p := range workload.Profiles() {
 		for _, size := range sizes {
 			size := size
-			specs = append(specs, spec(p, LightWSP(),
-				compiler.Config{StoreThreshold: size / 2, MaxUnroll: 4},
+			specs = append(specs, spec(p, LightWSP(), compiler.Config{},
 				func(c *machine.Config) { c.WPQEntries = size; c.FEBEntries = size }))
 		}
 	}
@@ -51,8 +49,7 @@ func Fig18(r *Runner) (*Fig18Result, error) {
 		for _, p := range workload.BySuite(s) {
 			for i, size := range sizes {
 				size := size
-				st, err := r.Run(p, LightWSP(),
-					compiler.Config{StoreThreshold: size / 2, MaxUnroll: 4},
+				st, err := r.Run(p, LightWSP(), compiler.Config{},
 					func(c *machine.Config) { c.WPQEntries = size; c.FEBEntries = size })
 				if err != nil {
 					return nil, err
@@ -227,13 +224,8 @@ func RecoverySweep(pointsPerApp int) (*RecoverySweepResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("profile %s/%s missing", rep.suite, rep.name)
 		}
-		prog, err := workload.Build(p)
-		if err != nil {
-			return nil, err
-		}
-		cfg := ScaledConfig()
-		cfg.Threads = p.Threads
-		rt, err := core.NewRuntime(prog, compiler.Config{}, cfg)
+		cfg, ccfg := ResolveConfigs(p, compiler.Config{})
+		rt, err := BuildRuntime(p, LightWSP(), cfg, ccfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -254,15 +246,7 @@ func RecoverySweep(pointsPerApp int) (*RecoverySweepResult, error) {
 			}
 			res.Injections++
 			res.TotalRollback += cres.Rollbacks
-			if p.Threads == 1 {
-				if err := recovery.VerifyEquivalence(cres.Recovered.PM(), clean.PM()); err != nil {
-					return nil, fmt.Errorf("%s at cycle %d: %w", rep.name, fail, err)
-				}
-			} else if err := recovery.VerifyPMMatchesArch(cres.Recovered.PM(), cres.Recovered.Arch()); err != nil {
-				// Multi-threaded runs can legally reorder commutative
-				// critical sections across recovery; whole-system
-				// persistence still requires PM ≡ final architectural
-				// state.
+			if err := recovery.Verdict(cres.Recovered, clean.PM(), p.Threads); err != nil {
 				return nil, fmt.Errorf("%s at cycle %d: %w", rep.name, fail, err)
 			}
 			res.Verified++

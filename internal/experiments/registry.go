@@ -7,10 +7,8 @@ import (
 	"sync"
 
 	"lightwsp/internal/baseline"
-	"lightwsp/internal/compiler"
 	"lightwsp/internal/core"
 	"lightwsp/internal/machine"
-	"lightwsp/internal/workload"
 )
 
 // Experiment is one named, registry-resolvable evaluation driver: a
@@ -60,15 +58,6 @@ func ExperimentByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// ResolveConfigs derives the effective machine and compiler configurations
-// the Runner would use for profile p: the scaled Table I configuration with
-// the profile's thread count and the §IV-A store-threshold default. Callers
-// that execute simulations outside the Runner (failure injection, streaming
-// runs) use it so their results match the cached grid cycle for cycle.
-func ResolveConfigs(p workload.Profile, ccfg compiler.Config) (machine.Config, compiler.Config) {
-	return resolve(p, ccfg, nil)
 }
 
 // SchemeByName resolves a persistence scheme by its evaluation name

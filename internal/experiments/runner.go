@@ -52,10 +52,6 @@ import (
 // MaxRunCycles bounds any single simulation.
 const MaxRunCycles = 2_000_000_000
 
-// CacheDirEnv names the environment variable that, when set, enables the
-// persistent on-disk result cache for every new Runner.
-const CacheDirEnv = "LIGHTWSP_CACHE_DIR"
-
 // ScaledConfig returns the Table I configuration with capacities scaled
 // down 8× (see the package comment); everything else is Table I verbatim.
 func ScaledConfig() machine.Config {
@@ -131,10 +127,10 @@ type inflightRun struct {
 	waiters int
 }
 
-// NewRunner returns an empty runner with a GOMAXPROCS-sized worker pool.
-// If LIGHTWSP_CACHE_DIR is set, the persistent disk cache is enabled there.
+// NewRunner returns an empty runner with a GOMAXPROCS-sized worker pool
+// and no persistent cache; SetCacheDir or SetStore enables one.
 func NewRunner() *Runner {
-	r := &Runner{
+	return &Runner{
 		s: &runnerState{
 			cache:     map[string]*machine.Stats{},
 			inflight:  map[string]*inflightRun{},
@@ -143,10 +139,6 @@ func NewRunner() *Runner {
 		},
 		ctx: context.Background(),
 	}
-	if dir := os.Getenv(CacheDirEnv); dir != "" {
-		r.s.disk = newDiskCache(dir)
-	}
-	return r
 }
 
 // WithContext returns a Runner handle bound to ctx, sharing all memoization
@@ -178,8 +170,8 @@ func (r *Runner) Pool() *Pool {
 	return r.s.pool()
 }
 
-// SetCacheDir enables the persistent disk cache under dir, overriding
-// LIGHTWSP_CACHE_DIR; an empty dir disables it. Call before Run.
+// SetCacheDir enables the persistent disk cache under dir; an empty dir
+// disables it. Call before Run.
 func (r *Runner) SetCacheDir(dir string) {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
@@ -329,24 +321,41 @@ func slowdownSpecs(p workload.Profile, sch machine.Scheme, ccfg compiler.Config,
 	}
 }
 
-// resolve derives the effective machine and compiler configurations of a
-// run, exactly as Run will execute it: the scaled Table I config with the
-// profile's thread count, then the mutators, then the §IV-A store-threshold
-// default (half the WPQ size).
-func resolve(p workload.Profile, ccfg compiler.Config, muts []Mutator) (machine.Config, compiler.Config) {
+// ResolveConfigs derives the machine and compiler configurations of a run
+// of profile p, exactly as Run executes it: the scaled Table I
+// configuration with the profile's thread count, then the mutators, then at
+// least as many cores as threads; the compiler configuration is resolved
+// for the final WPQ (compiler.Config.Resolve: a zero store threshold is
+// half the WPQ, §IV-A). It is the one place a profile becomes its
+// configurations, so runs outside the Runner (failure injection, streaming
+// runs, sessions, crashfuzz campaigns) match the cached grid cycle for
+// cycle.
+func ResolveConfigs(p workload.Profile, ccfg compiler.Config, muts ...Mutator) (machine.Config, compiler.Config) {
 	cfg := ScaledConfig()
 	cfg.Threads = p.Threads
-	if cfg.Threads > cfg.Cores {
-		cfg.Cores = cfg.Threads
-	}
 	for _, m := range muts {
 		m(&cfg)
 	}
-	if ccfg.StoreThreshold == 0 {
-		ccfg.StoreThreshold = cfg.WPQEntries / 2
-		ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
+	if cfg.Threads > cfg.Cores {
+		cfg.Cores = cfg.Threads
 	}
-	return cfg, ccfg
+	return cfg, ccfg.Resolve(cfg.WPQEntries)
+}
+
+// BuildRuntime synthesizes profile p's program and binds it to scheme sch
+// under configurations from ResolveConfigs: an instrumented scheme compiles
+// it, and sink, when non-nil, is attached to every system the runtime
+// boots. It is the one place a run's program is built and compiled.
+func BuildRuntime(p workload.Profile, sch machine.Scheme, cfg machine.Config, ccfg compiler.Config, sink probe.Sink) (*core.Runtime, error) {
+	prog, err := workload.Build(p)
+	if err != nil {
+		return nil, err
+	}
+	rt, err := core.NewRuntimeFor(prog, ccfg, cfg, sch, sink)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.Suite, p.Name, err)
+	}
+	return rt, nil
 }
 
 // Prefetch resolves every spec's run key, deduplicates, and executes all
@@ -360,7 +369,7 @@ func (r *Runner) Prefetch(specs []RunSpec) error {
 	var errMu sync.Mutex
 	var firstErr error
 	for _, s := range specs {
-		cfg, ccfg := resolve(s.Profile, s.Compiler, s.Muts)
+		cfg, ccfg := ResolveConfigs(s.Profile, s.Compiler, s.Muts...)
 		key := runKey(s.Profile, s.Scheme, cfg, ccfg)
 		if seen[key] {
 			continue
@@ -395,7 +404,7 @@ func (r *Runner) Prefetch(specs []RunSpec) error {
 // simulation itself is canceled at cycle-batch granularity once no caller is
 // waiting on it. Canceled runs are never cached.
 func (r *Runner) Run(p workload.Profile, sch machine.Scheme, ccfg compiler.Config, muts ...Mutator) (*machine.Stats, error) {
-	cfg, ccfg := resolve(p, ccfg, muts)
+	cfg, ccfg := ResolveConfigs(p, ccfg, muts...)
 	key := runKey(p, sch, cfg, ccfg)
 	s := r.s
 
@@ -633,21 +642,6 @@ func (s *runnerState) progressLine(p workload.Profile, sch machine.Scheme, hash,
 // writes it as Chrome trace-event JSON. Cancellation is honored at
 // cycle-batch granularity; run failures wrap the wsperr sentinels.
 func simulate(ctx context.Context, p workload.Profile, sch machine.Scheme, cfg machine.Config, ccfg compiler.Config, timelinePath string) (*machine.Stats, metrics.Snapshot, error) {
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, metrics.Snapshot{}, err
-	}
-	if sch.Instrumented {
-		res, err := compiler.Compile(prog, ccfg)
-		if err != nil {
-			return nil, metrics.Snapshot{}, fmt.Errorf("%s/%s: %w", p.Suite, p.Name, err)
-		}
-		prog = res.Prog
-	}
-	sys, err := machine.NewSystem(prog, cfg, sch)
-	if err != nil {
-		return nil, metrics.Snapshot{}, err
-	}
 	m := metrics.New()
 	// The sink stack: the per-run metrics accumulator always rides along;
 	// a request-scoped flight recorder (obs.WithRecorder) and a timeline
@@ -663,8 +657,12 @@ func simulate(ctx context.Context, p workload.Profile, sch machine.Scheme, cfg m
 		tl.TraceID = obs.TraceID(ctx)
 		sinks = append(sinks, tl)
 	}
-	sys.SetProbeSink(probe.Multi(sinks...))
-	if err := sys.RunContext(ctx, MaxRunCycles); err != nil {
+	rt, err := BuildRuntime(p, sch, cfg, ccfg, probe.Multi(sinks...))
+	if err != nil {
+		return nil, metrics.Snapshot{}, err
+	}
+	sys, err := rt.Run(ctx, MaxRunCycles)
+	if err != nil {
 		return nil, metrics.Snapshot{}, fmt.Errorf("%s/%s under %s: %w", p.Suite, p.Name, sch.Name, err)
 	}
 	if tl != nil {

@@ -106,13 +106,10 @@ func Fig11(r *Runner) (*SweepResult, error) {
 	for _, entries := range []int{256, 128, 64} {
 		entries := entries
 		names = append(names, fmt.Sprintf("WPQ-%d", entries))
-		points = append(points, sweepPoint{
-			mut: func(c *machine.Config) {
-				c.WPQEntries = entries
-				c.FEBEntries = entries // §IV-E: FEB size tracks the WPQ
-			},
-			ccfg: compiler.Config{StoreThreshold: entries / 2, MaxUnroll: 4},
-		})
+		points = append(points, sweepPoint{mut: func(c *machine.Config) {
+			c.WPQEntries = entries
+			c.FEBEntries = entries // §IV-E: FEB size tracks the WPQ
+		}})
 	}
 	return sweep(r, "Figure 11: WPQ size sensitivity (LightWSP slowdown)", names, points, workload.Profiles())
 }
@@ -189,15 +186,11 @@ func Fig16(r *Runner) (*Fig16Result, error) {
 	for _, n := range counts {
 		n := n
 		names = append(names, fmt.Sprintf("%d-thread", n))
-		points = append(points, sweepPoint{mut: func(c *machine.Config) {
-			c.Threads = n
-			if c.Cores < n {
-				c.Cores = n
-			}
-		}})
+		points = append(points, sweepPoint{mut: func(c *machine.Config) { c.Threads = n }})
 	}
-	// Note: Runner.Run sets Threads from the profile before mutators run,
-	// so the mutator override here controls the sweep.
+	// ResolveConfigs sets Threads from the profile before the mutators run
+	// and raises Cores to cover Threads after them, so the mutator's thread
+	// count controls the sweep.
 	sw, err := sweep(r, "Figure 16: thread-count sensitivity (LightWSP slowdown, parallel suites)", names, points, parallel)
 	if err != nil {
 		return nil, err
@@ -205,12 +198,7 @@ func Fig16(r *Runner) (*Fig16Result, error) {
 	res := &Fig16Result{Sweep: sw}
 	for _, n := range counts {
 		n := n
-		rate, err := overflowRate(r, parallel, func(c *machine.Config) {
-			c.Threads = n
-			if c.Cores < n {
-				c.Cores = n
-			}
-		})
+		rate, err := overflowRate(r, parallel, func(c *machine.Config) { c.Threads = n })
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +206,6 @@ func Fig16(r *Runner) (*Fig16Result, error) {
 	}
 	rate, err := overflowRate(r, parallel, func(c *machine.Config) {
 		c.Threads = 64
-		c.Cores = 64
 		c.WPQEntries = 256
 		c.FEBEntries = 256
 	})

@@ -543,22 +543,12 @@ func (st *SessionStore) Close() {
 	}
 }
 
-// ScrubBlobs verifies, garbage-collects and self-heals the shared snapshot
-// blob directory: corrupt blobs are quarantined, unrecognized entries
-// (truncated writes, retired schema versions, orphaned temp files) and
-// blobs no session manifest references anymore are removed. It returns the
-// number of entries removed or quarantined.
-func (st *SessionStore) ScrubBlobs() (int, error) {
-	rep, err := st.Scrub(0)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Removed() + rep.Quarantined, nil
-}
-
-// Scrub is ScrubBlobs with a full report and an optional size quota in
-// bytes (0 = unbounded): after validity and reference GC, quota pressure
-// evicts the oldest unreferenced survivors first. Referenced blobs are
+// Scrub verifies, garbage-collects and self-heals the shared snapshot blob
+// directory: corrupt blobs are quarantined, unrecognized entries (truncated
+// writes, retired schema versions, orphaned temp files) and blobs no
+// session manifest references anymore are removed. A non-zero quotaBytes
+// then bounds what survives: quota pressure evicts the oldest unreferenced
+// survivors first. Referenced blobs are
 // never quota-evicted — the quota trims cache weight, it must not break a
 // session. A blob GC'd in the window between a concurrent snapshot's blob
 // write and its manifest write only costs that restore a fallback to an
@@ -641,10 +631,6 @@ func newSession(st *SessionStore, id string, spec SessionSpec) (*Session, error)
 	if !sch.Instrumented {
 		return nil, fmt.Errorf("experiments: scheme %q cannot host a session: no recovery metadata to snapshot", sch.Name)
 	}
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, err
-	}
 	mcfg, ccfg := ResolveConfigs(p, compiler.Config{})
 	s := &Session{
 		ID:    id,
@@ -653,7 +639,7 @@ func newSession(st *SessionStore, id string, spec SessionSpec) (*Session, error)
 		dir:   filepath.Join(st.dir, id),
 		man:   st.manifestCache(id),
 	}
-	rt, err := core.NewRuntimeFor(prog, ccfg, mcfg, sch, probe.SinkFunc(s.onProbe))
+	rt, err := BuildRuntime(p, sch, mcfg, ccfg, probe.SinkFunc(s.onProbe))
 	if err != nil {
 		return nil, err
 	}

@@ -255,11 +255,11 @@ func TestSessionTruncatedSnapshotFallsBack(t *testing.T) {
 	if err := os.WriteFile(newest, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	removed, err := st2.ScrubBlobs()
+	rep, err := st2.Scrub(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
+	if removed := rep.Removed() + rep.Quarantined; removed != 1 {
 		t.Fatalf("scrub removed %d blobs, want 1", removed)
 	}
 }

@@ -53,11 +53,7 @@ func buildEquivProg(t *testing.T, p workload.Profile, cfg Config, sch Scheme) *i
 	if !sch.Instrumented {
 		return prog
 	}
-	ccfg := compiler.Config{
-		StoreThreshold: cfg.WPQEntries / 2,
-		MaxUnroll:      compiler.DefaultConfig().MaxUnroll,
-	}
-	res, err := compiler.Compile(prog, ccfg)
+	res, err := compiler.Compile(prog, compiler.Config{}.Resolve(cfg.WPQEntries))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,6 @@ import (
 // share this value.
 const noEvent = ^uint64(0)
 
-// SetNaiveStepper switches the machine to the reference per-cycle stepper
-// (true) or the event/epoch fast path (false, the default). The two are
-// byte-identical in every observable — final PM image, stats, probe event
-// stream; the naive stepper exists as the equivalence oracle.
-func (s *System) SetNaiveStepper(v bool) { s.naiveStep = v }
-
 // FastForwardStats reports how many cycles the event/epoch scheduler
 // skipped and in how many jumps. Deliberately not part of Stats: the fast
 // path's observables must be identical to the naive stepper's, and Stats

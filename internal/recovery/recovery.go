@@ -126,3 +126,20 @@ func VerifyPMMatchesArch(pm, arch *mem.Image) error {
 	diffs := pm.Diff(arch, 8)
 	return fmt.Errorf("recovery: persisted data diverges from final architectural state: %v", diffs)
 }
+
+// Verdict judges a run that crashed, recovered and completed against the
+// failure-free run's final persisted image oracle. Every such run must end
+// with PM ≡ its final architectural state on program data; a
+// single-threaded run must also match the oracle word for word. A
+// multi-threaded run can legally reorder commutative critical sections
+// across a recovery, so its data need not match any one failure-free
+// interleaving.
+func Verdict(final *machine.System, oracle *mem.Image, threads int) error {
+	if err := VerifyPMMatchesArch(final.PM(), final.Arch()); err != nil {
+		return err
+	}
+	if threads == 1 {
+		return VerifyEquivalence(final.PM(), oracle)
+	}
+	return nil
+}

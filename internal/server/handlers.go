@@ -242,14 +242,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if ri := reqInfoFrom(r.Context()); ri != nil {
 		ri.suite, ri.app = string(p.Suite), p.Name
 	}
-	ccfg := compiler.Config{StoreThreshold: req.StoreThreshold}
-	_, ccfg = experiments.ResolveConfigs(p, ccfg)
-	prog, err := workload.Build(p)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	res, err := compiler.Compile(prog, ccfg)
+	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{StoreThreshold: req.StoreThreshold})
+	rt, err := experiments.BuildRuntime(p, core.Scheme(), cfg, ccfg, nil)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return
@@ -258,7 +252,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Suite:          string(p.Suite),
 		App:            p.Name,
 		StoreThreshold: ccfg.StoreThreshold,
-		Stats:          res.Stats,
+		Stats:          rt.Compiled.Stats,
 	})
 }
 
@@ -300,13 +294,8 @@ func (s *Server) handleRunWithFailure(w http.ResponseWriter, r *http.Request) {
 	ctx, detach := s.attachFlight(ctx, ri)
 	defer detach()
 
-	prog, err := workload.Build(p)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
-	rt, err := core.NewRuntimeFor(prog, ccfg, cfg, core.Scheme(), ri.flight)
+	rt, err := experiments.BuildRuntime(p, core.Scheme(), cfg, ccfg, ri.flight)
 	if err != nil {
 		ri.err = err
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
@@ -332,7 +321,7 @@ func (s *Server) handleRunWithFailure(w http.ResponseWriter, r *http.Request) {
 		Failed:     res.Failed,
 		Discarded:  res.Report.Discarded,
 		Cycles:     rec.Stats.Cycles,
-		Consistent: rec.PM().EqualRange(rec.Arch(), 0, recovery.UserRangeEnd),
+		Consistent: recovery.VerifyPMMatchesArch(rec.PM(), rec.Arch()) == nil,
 	})
 }
 

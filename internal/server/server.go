@@ -201,7 +201,6 @@ func New(cfg Config) *Server {
 	}
 	s.runner = experiments.NewRunner()
 	s.runner.SetWorkers(cfg.Workers)
-	s.runner.SetCacheDir(cfg.CacheDir)
 	s.runner.SetProgress(cfg.Progress)
 	if cfg.TimelineDir != "" {
 		s.runner.SetTimelineDir(cfg.TimelineDir)
@@ -238,10 +237,12 @@ func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // initStores builds the storage tiers: the local disk cache (L1), the
-// optional shared L2 behind it, and the runner's view of the pair. With an
-// L2 configured the runner resolves through the tiered store — its writes
-// publish to both tiers and its misses read through the fleet's shared
-// cache — which is what makes every node's result cache one coherent whole.
+// optional shared L2 behind it, and the runner's view of the pair. Without
+// an L2 the runner, the verdict cache and the peer blob API share the one
+// local store. With an L2 configured the runner resolves through the tiered
+// store — its writes publish to both tiers and its misses read through the
+// fleet's shared cache — which is what makes every node's result cache one
+// coherent whole.
 func (s *Server) initStores() {
 	if s.cfg.CacheDir != "" {
 		s.localBlobs = experiments.NewBlobCache(s.cfg.CacheDir)
@@ -249,6 +250,9 @@ func (s *Server) initStores() {
 		s.blobs = s.localBlobs
 	}
 	if s.cfg.L2 == nil {
+		if s.localBlobs != nil {
+			s.runner.SetStore(s.localBlobs)
+		}
 		return
 	}
 	if o, ok := s.cfg.L2.(interface {

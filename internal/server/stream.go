@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"lightwsp/internal/compiler"
-	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/fleet"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/metrics"
 	"lightwsp/internal/probe"
-	"lightwsp/internal/workload"
 )
 
 // streamChunk is how many cycles the streaming run advances between
@@ -105,20 +103,24 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	ctx, detach := s.attachFlight(ctx, ri)
 	defer detach()
 
-	prog, err := workload.Build(p)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
+	// The runtime is built before the header goes out, so a build or
+	// compile error still gets a status code; its sinks emit nothing until
+	// a system runs.
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	ss := &streamSink{enc: enc, flush: flusher}
 	m := metrics.New()
+	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
+	rt, err := experiments.BuildRuntime(p, sch, cfg, ccfg, probe.Multi(m, ss, ri.flight))
+	if err != nil {
+		ri.err = err
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+		return
+	}
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
 
 	fail := func(err error) {
 		ri.err = err
@@ -128,11 +130,6 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rt, err := core.NewRuntimeFor(prog, ccfg, cfg, sch, probe.Multi(m, ss, ri.flight))
-	if err != nil {
-		fail(err)
-		return
-	}
 	queued := time.Now()
 	perr := s.pool.DoCtx(ctx, func() {
 		ri.queueWait = time.Since(queued)

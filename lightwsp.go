@@ -202,12 +202,10 @@ func Open(prog *Program, opts ...Option) (*Runtime, error) {
 }
 
 // Compile runs only the LightWSP compiler (region partitioning +
-// checkpointing) without building a machine.
+// checkpointing) without building a machine. A zero StoreThreshold resolves
+// for DefaultConfig's WPQ, as Open's does for its machine.
 func Compile(prog *Program, ccfg CompilerConfig) (*CompileResult, error) {
-	if ccfg.StoreThreshold == 0 {
-		ccfg = compiler.DefaultConfig()
-	}
-	return compiler.Compile(prog, ccfg)
+	return compiler.Compile(prog, ccfg.Resolve(DefaultConfig().WPQEntries))
 }
 
 // LightWSPScheme returns the paper's scheme: 8-byte persist path, gated

@@ -95,6 +95,15 @@ func TestFacadeCompileOnly(t *testing.T) {
 	if res.Stats.Boundaries < 3 {
 		t.Fatalf("boundaries = %d", res.Stats.Boundaries)
 	}
+	// A zero threshold takes the default; the caller's other knobs stay, as
+	// they do through Open.
+	res, err = lightwsp.Compile(prog, lightwsp.CompilerConfig{MaxUnroll: 1, DisablePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (lightwsp.CompilerConfig{StoreThreshold: 32, MaxUnroll: 1, DisablePruning: true}); res.Config != want {
+		t.Fatalf("compiled under %+v, want %+v", res.Config, want)
+	}
 }
 
 func TestFacadeSchemesRun(t *testing.T) {
