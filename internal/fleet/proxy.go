@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -28,16 +30,36 @@ var hopHeaders = []string{
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
-// Proxy forwards r to the node at targetBase (scheme://host[:port]),
-// streaming the response — NDJSON event streams flush line by line. It
-// reports whether anything was written to w: when it returns
-// (written=false, err!=nil) the target was unreachable before a single
-// byte went out, and the caller may safely fall back to handling the
-// request itself.
+// maxBody bounds the request body a hop buffers. Every routed request
+// body is a small JSON document; streams flow the other way.
+const maxBody = 8 << 20
+
+// ReadBody reads r's body whole, so that a hop can name the request's
+// owner from it and send the same bytes to every node it tries. A body
+// larger than maxBody is an error.
+func ReadBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	if len(body) > maxBody {
+		return nil, fmt.Errorf("request body larger than %d bytes", maxBody)
+	}
+	return body, nil
+}
+
+// Proxy sends r, with body as its body, to the node at targetBase
+// (scheme://host[:port]) and streams the response back — NDJSON event
+// streams flush line by line. It reports whether anything was written to
+// w: when it returns (written=false, err!=nil) nothing went out, and the
+// caller may try another node or serve the request itself. A response the
+// target breaks off after its status went out aborts w's response with
+// panic(http.ErrAbortHandler), as httputil.ReverseProxy does, so the
+// client sees a broken stream instead of a short one that ends cleanly.
 //
-// The caller is responsible for setting ForwardedHeader on r (or its body
-// replacement) before calling; Proxy itself only moves bytes.
-func Proxy(w http.ResponseWriter, r *http.Request, targetBase string, hc *http.Client) (written bool, err error) {
+// A forwarding node sets ForwardedHeader on r before calling; Proxy itself
+// only moves bytes.
+func Proxy(w http.ResponseWriter, r *http.Request, body []byte, targetBase string, hc *http.Client) (written bool, err error) {
 	target, err := url.Parse(strings.TrimRight(targetBase, "/"))
 	if err != nil {
 		return false, err
@@ -46,7 +68,7 @@ func Proxy(w http.ResponseWriter, r *http.Request, targetBase string, hc *http.C
 	outURL.Scheme = target.Scheme
 	outURL.Host = target.Host
 
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, outURL.String(), r.Body)
+	out, err := http.NewRequestWithContext(r.Context(), r.Method, outURL.String(), bytes.NewReader(body))
 	if err != nil {
 		return false, err
 	}
@@ -54,7 +76,6 @@ func Proxy(w http.ResponseWriter, r *http.Request, targetBase string, hc *http.C
 	for _, h := range hopHeaders {
 		out.Header.Del(h)
 	}
-	out.ContentLength = r.ContentLength
 
 	resp, err := hc.Do(out)
 	if err != nil {
@@ -69,7 +90,9 @@ func Proxy(w http.ResponseWriter, r *http.Request, targetBase string, hc *http.C
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	copyBody(w, resp.Body, resp.ContentLength < 0)
+	if copyBody(w, resp.Body, resp.ContentLength < 0) != nil {
+		panic(http.ErrAbortHandler)
+	}
 	return true, nil
 }
 
@@ -80,8 +103,10 @@ var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 // copyBody streams src to w. With flush set — a body of unknown length,
 // such as an NDJSON event stream — it flushes after every read, so a long
 // run's events cross the proxy as they happen instead of a run's worth at
-// a time. A fixed-length body is copied without per-chunk flushes.
-func copyBody(w http.ResponseWriter, src io.Reader, flush bool) {
+// a time. A fixed-length body is copied without per-chunk flushes. It
+// returns src's error if src fails before its end; a failed write to w
+// (the client went away) ends the copy without one.
+func copyBody(w http.ResponseWriter, src io.Reader, flush bool) error {
 	buf := copyBufs.Get().(*[32 << 10]byte)
 	defer copyBufs.Put(buf)
 	var f http.Flusher
@@ -92,14 +117,17 @@ func copyBody(w http.ResponseWriter, src io.Reader, flush bool) {
 		n, err := src.Read(buf[:])
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
+				return nil
 			}
 			if f != nil {
 				f.Flush()
 			}
 		}
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			return
+			return err
 		}
 	}
 }

@@ -15,7 +15,12 @@ import (
 func proxyTo(t *testing.T, upstream string) *httptest.Server {
 	hc := &http.Client{}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, err := Proxy(w, r, upstream, hc); err != nil {
+		body, err := ReadBody(r)
+		if err != nil {
+			t.Errorf("read body: %v", err)
+			return
+		}
+		if _, err := Proxy(w, r, body, upstream, hc); err != nil {
 			t.Errorf("proxy: %v", err)
 		}
 	}))

@@ -9,8 +9,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"hash/fnv"
+	"net/http"
 	"sort"
+	"strings"
 )
 
 // Ring is a rendezvous (highest-random-weight) hash ring over node base
@@ -108,3 +111,37 @@ func RunRouteKey(suite, app, scheme string) string {
 // SessionRouteKey is the routing key of a session request: sessions are
 // single-writer, so every operation on one ID must land on its owner.
 func SessionRouteKey(id string) string { return "session|" + id }
+
+// RouteKey names the ring key of a request: the one rule by which the lb
+// and every node pick a request's owner, so the two tiers always agree.
+// The four run routes key by the raw suite, app and scheme fields of the
+// body (no tier resolves defaults first); session routes key by the ID in
+// the path, or in a create's body. An empty key means any node may serve
+// the request: a create without an ID is keyed once its node mints one.
+func RouteKey(method, path string, body []byte) string {
+	if rest, ok := strings.CutPrefix(path, "/v1/session/"); ok {
+		if id, _, _ := strings.Cut(rest, "/"); id != "" {
+			return SessionRouteKey(id)
+		}
+		return ""
+	}
+	var req struct {
+		ID     string `json:"id"`
+		Suite  string `json:"suite"`
+		App    string `json:"app"`
+		Scheme string `json:"scheme"`
+	}
+	switch {
+	case path == "/v1/session" && method == http.MethodPost:
+		json.Unmarshal(body, &req)
+		if req.ID == "" {
+			return ""
+		}
+		return SessionRouteKey(req.ID)
+	case path == "/v1/run" || path == "/v1/run/stream" ||
+		path == "/v1/run-with-failure" || path == "/v1/crashfuzz":
+		json.Unmarshal(body, &req)
+		return RunRouteKey(req.Suite, req.App, req.Scheme)
+	}
+	return ""
+}

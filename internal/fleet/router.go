@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -15,11 +13,6 @@ import (
 
 	"lightwsp/internal/metrics"
 )
-
-// maxRoutedBody bounds the request body the Router buffers to extract a
-// routing key and replay across failover attempts. Request bodies on every
-// routed endpoint are small JSON documents; streams flow the other way.
-const maxRoutedBody = 8 << 20
 
 // NodeStatus is the Router's last known view of one backend.
 type NodeStatus struct {
@@ -246,14 +239,17 @@ func (rt *Router) candidates(key string) []string {
 	return append(nodes[i:], nodes[:i]...)
 }
 
-// ServeHTTP routes one request.
+// ServeHTTP routes one request. It reads the body whole first, so every
+// attempt sends the same bytes and none depends on the client's connection:
+// any request fails over to the next candidate while nothing has been
+// written back.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	key, body, err := routeKey(r)
+	body, err := ReadBody(r)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cands := rt.candidates(key)
+	cands := rt.candidates(RouteKey(r.Method, r.URL.Path, body))
 	if len(cands) == 0 {
 		rt.noNodes.Add(1)
 		w.Header().Set("Retry-After", "10")
@@ -261,11 +257,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, node := range cands {
-		if body != nil {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		written, err := Proxy(w, r, node, rt.hc)
+		written, err := Proxy(w, r, body, node, rt.hc)
 		if written {
 			rt.forwarded.Add(1)
 			if i > 0 {
@@ -273,66 +265,21 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
+		if r.Context().Err() != nil {
+			// The client went away; the node is not at fault.
+			return
+		}
 		// Nothing went out: the node is unreachable. Eject it immediately
 		// (the poller will re-add it when it recovers) and try the next
-		// candidate — but only when the body is replayable.
+		// candidate.
 		rt.setHealth(node, false, statsProbe{})
 		if rt.log != nil {
 			rt.log.Warn("backend unreachable, failing over", "node", node, "path", r.URL.Path, "error", err)
-		}
-		replayable := body != nil ||
-			r.Method == http.MethodGet || r.Method == http.MethodHead || r.Method == http.MethodDelete
-		if !replayable {
-			break
 		}
 	}
 	rt.noNodes.Add(1)
 	w.Header().Set("Retry-After", "10")
 	writeJSONError(w, http.StatusServiceUnavailable, "no reachable node")
-}
-
-// routeKey derives the consistent-hash key of a request, buffering the
-// body when the key lives inside it (returned for replay). An empty key
-// means "any node".
-func routeKey(r *http.Request) (key string, body []byte, err error) {
-	path := r.URL.Path
-	switch {
-	case strings.HasPrefix(path, "/v1/session/"):
-		rest := strings.TrimPrefix(path, "/v1/session/")
-		if id, _, _ := strings.Cut(rest, "/"); id != "" {
-			return SessionRouteKey(id), nil, nil
-		}
-		return "", nil, nil
-	case path == "/v1/session" && r.Method == http.MethodPost:
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
-		if err != nil {
-			return "", nil, fmt.Errorf("reading body: %w", err)
-		}
-		var req struct {
-			ID string `json:"id"`
-		}
-		json.Unmarshal(body, &req)
-		if req.ID == "" {
-			// The node will mint or reject the ID; no affinity to honor yet.
-			return "", body, nil
-		}
-		return SessionRouteKey(req.ID), body, nil
-	case path == "/v1/run" || path == "/v1/run/stream" ||
-		path == "/v1/run-with-failure" || path == "/v1/crashfuzz":
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
-		if err != nil {
-			return "", nil, fmt.Errorf("reading body: %w", err)
-		}
-		var req struct {
-			Suite  string `json:"suite"`
-			App    string `json:"app"`
-			Scheme string `json:"scheme"`
-		}
-		json.Unmarshal(body, &req)
-		return RunRouteKey(req.Suite, req.App, req.Scheme), body, nil
-	default:
-		return "", nil, nil
-	}
 }
 
 func writeJSONError(w http.ResponseWriter, code int, msg string) {

@@ -17,32 +17,29 @@ import (
 // key); forwarding is a warmth optimization, so every failure here falls
 // back to local serving rather than erroring.
 
-// maxForwardBody bounds a request body buffered for the forward decision;
-// run- and session-shaped request bodies are a few hundred bytes.
-const maxForwardBody = 8 << 20
-
-// bufferBody reads and replaces the request body so the handler can decode
-// it locally after the forward decision (which may have replayed it).
+// bufferBody reads the request body once, with fleet.ReadBody, and puts the
+// bytes back so the handler decodes exactly what a forward would send.
 func bufferBody(r *http.Request) ([]byte, error) {
-	if r.Body == nil || r.Body == http.NoBody {
-		return nil, nil
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBody))
+	body, err := fleet.ReadBody(r)
 	if err != nil {
 		return nil, err
 	}
-	r.Body.Close()
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	return body, nil
 }
 
 // forwardOwned routes a keyed request to its ring owner when that is a
-// different node, reporting whether a peer wrote the response. It walks the
-// preference ladder top-down: the first entry that is this node means
-// "serve locally"; an unreachable peer is skipped (and counted) rather than
-// surfaced, because local serving is always a correct fallback.
-func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
+// different node, reporting whether a peer wrote the response. The key is
+// fleet.RouteKey's, the lb's own rule; an unkeyed request is served here.
+// It walks the preference ladder top-down: the first entry that is this
+// node means "serve locally"; an unreachable peer is skipped (and counted)
+// rather than surfaced, because local serving is always a correct fallback.
+func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, body []byte) bool {
 	if s.ring == nil {
+		return false
+	}
+	key := fleet.RouteKey(r.Method, r.URL.Path, body)
+	if key == "" {
 		return false
 	}
 	if r.Header.Get(fleet.ForwardedHeader) != "" {
@@ -53,21 +50,14 @@ func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, key string
 	}
 	for _, owner := range s.ring.Owners(key) {
 		if owner == s.self {
-			// Reached our own rank: serve locally. Fall through to the
-			// restoration below — a higher-ranked peer may have failed
-			// after the proxy attempt consumed the body and dropped the
-			// provisional Served-By stamp.
+			// Reached our own rank: serve locally.
 			break
 		}
 		r.Header.Set(fleet.ForwardedHeader, s.self)
-		if body != nil {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
 		// The peer stamps its own identity on the response; drop the one
 		// the middleware stamped for the local-serving case.
 		w.Header().Del(fleet.ServedByHeader)
-		written, err := fleet.Proxy(w, r, owner, s.fleetHC)
+		written, err := fleet.Proxy(w, r, body, owner, s.fleetHC)
 		if written {
 			s.forwardsOut.Add(1)
 			if ri := reqInfoFrom(r.Context()); ri != nil {
@@ -80,12 +70,8 @@ func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, key string
 			"key", key, "peer", owner, "error", err)
 	}
 	// Serving locally (own rank reached, or every better-ranked peer was
-	// unreachable): restore what the forward attempts may have disturbed.
+	// unreachable): restore the stamps the forward attempts changed.
 	w.Header().Set(fleet.ServedByHeader, s.self)
 	r.Header.Del(fleet.ForwardedHeader)
-	if body != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-	}
 	return false
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -280,5 +282,62 @@ func TestFleetSessionResumesOnNewOwner(t *testing.T) {
 	}
 	if st.ID != "fleet-sess" || st.Total != 1300 {
 		t.Fatalf("failed-over session at %+v, want total 1300", st)
+	}
+}
+
+// TestForwardAbortsCutStream: a stream the owner breaks off mid-way
+// reaches the client through a forwarding node as a broken stream, not as
+// a short one that ends cleanly; the node accounts for the request and
+// counts no panic.
+func TestForwardAbortsCutStream(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"seq":1}`+"\n")
+		w.(http.Flusher).Flush()
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer owner.Close()
+	ts := httptest.NewUnstartedServer(nil)
+	self := "http://" + ts.Listener.Addr().String()
+	peers := []string{self, owner.URL}
+	s := New(Config{Workers: 1, FleetSelf: self, FleetPeers: peers})
+	ts.Config.Handler = s.Handler()
+	ts.Start()
+	defer ts.Close()
+
+	// A session the ring gives to the cutting owner.
+	ring := fleet.NewRing(peers)
+	id := ""
+	for i := 0; id == ""; i++ {
+		if c := fmt.Sprintf("cut-%d", i); ring.Owner(fleet.SessionRouteKey(c)) == owner.URL {
+			id = c
+		}
+	}
+	resp, err := http.Post(self+"/v1/session/"+id+"/advance", "application/json",
+		strings.NewReader(`{"target":1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil {
+		t.Fatalf("cut stream read as complete: %q", body)
+	}
+	if string(body) != `{"seq":1}`+"\n" {
+		t.Fatalf("before the cut the client got %q", body)
+	}
+	ts.Close() // waits for the node's handler to finish its accounting
+	if n := s.tel.panics.Load(); n != 0 {
+		t.Fatalf("an aborted forward counted %d panics", n)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `lightwsp_http_requests_total{endpoint="/v1/session/advance",code="200"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("the aborted request is not in /metrics as %s", want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"lightwsp/internal/core"
 	"lightwsp/internal/crashfuzz"
 	"lightwsp/internal/experiments"
-	"lightwsp/internal/fleet"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/recovery"
 	"lightwsp/internal/workload"
@@ -19,28 +18,53 @@ import (
 // routes installs the API surface on the server's mux, every endpoint
 // wrapped in the instrument middleware (trace identity, panic recovery,
 // metrics, access logs). The readOnly flag keeps scrape/probe endpoints'
-// access lines at debug level.
+// access lines at debug level. Two more wrappers run before a handler:
+// admitted passes the request through the admission gate, and routed
+// buffers its body and forwards it to its ring owner, so a routed handler
+// runs only on the node that serves the request.
 func (s *Server) routes() {
 	handle := func(pattern, endpoint string, readOnly bool, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.instrument(endpoint, readOnly, h))
+	}
+	admitted := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			release, ok := s.admit(w, r)
+			if !ok {
+				return
+			}
+			defer release()
+			h(w, r)
+		}
+	}
+	routed := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			body, err := bufferBody(r)
+			if err != nil {
+				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+				return
+			}
+			if !s.forwardOwned(w, r, body) {
+				h(w, r)
+			}
+		}
 	}
 	handle("GET /healthz", "/healthz", true, s.handleHealthz)
 	handle("GET /stats", "/stats", true, s.handleStats)
 	handle("GET /metrics", "/metrics", true, s.handleMetrics)
 	handle("GET /v1/experiments", "/v1/experiments", true, s.handleExperiments)
 	handle("GET /v1/debug/run/{id}", "/v1/debug/run", true, s.handleDebugRun)
-	handle("POST /v1/compile", "/v1/compile", false, s.handleCompile)
-	handle("POST /v1/run", "/v1/run", false, s.handleRun)
-	handle("POST /v1/run/stream", "/v1/run/stream", false, s.handleRunStream)
-	handle("POST /v1/run-with-failure", "/v1/run-with-failure", false, s.handleRunWithFailure)
-	handle("POST /v1/crashfuzz", "/v1/crashfuzz", false, s.handleCrashfuzz)
-	handle("POST /v1/experiment", "/v1/experiment", false, s.handleExperiment)
-	handle("POST /v1/session", "/v1/session", false, s.handleSessionCreate)
+	handle("POST /v1/compile", "/v1/compile", false, admitted(s.handleCompile))
+	handle("POST /v1/run", "/v1/run", false, admitted(routed(s.handleRun)))
+	handle("POST /v1/run/stream", "/v1/run/stream", false, admitted(routed(s.handleRunStream)))
+	handle("POST /v1/run-with-failure", "/v1/run-with-failure", false, admitted(routed(s.handleRunWithFailure)))
+	handle("POST /v1/crashfuzz", "/v1/crashfuzz", false, admitted(routed(s.handleCrashfuzz)))
+	handle("POST /v1/experiment", "/v1/experiment", false, admitted(s.handleExperiment))
+	handle("POST /v1/session", "/v1/session", false, admitted(routed(s.handleSessionCreate)))
 	handle("GET /v1/session", "/v1/session", true, s.handleSessionList)
-	handle("GET /v1/session/{id}", "/v1/session/get", true, s.handleSessionGet)
-	handle("DELETE /v1/session/{id}", "/v1/session/delete", false, s.handleSessionDelete)
-	handle("POST /v1/session/{id}/advance", "/v1/session/advance", false, s.handleSessionAdvance)
-	handle("POST /v1/session/{id}/resume", "/v1/session/resume", false, s.handleSessionResume)
+	handle("GET /v1/session/{id}", "/v1/session/get", true, routed(s.handleSessionGet))
+	handle("DELETE /v1/session/{id}", "/v1/session/delete", false, admitted(routed(s.handleSessionDelete)))
+	handle("POST /v1/session/{id}/advance", "/v1/session/advance", false, admitted(routed(s.handleSessionAdvance)))
+	handle("POST /v1/session/{id}/resume", "/v1/session/resume", false, admitted(routed(s.handleSessionResume)))
 	// Peer store API (fleet traffic; readOnly keeps the 20ms lease polls
 	// out of the info-level access log).
 	handle("GET /v1/blob/{hash}", "/v1/blob", true, s.handleBlobGet)
@@ -144,22 +168,9 @@ func lookupScheme(w http.ResponseWriter, name string) (machine.Scheme, bool) {
 // requests for the same key join a single in-flight execution, and the
 // response is byte-identical however the result was obtained.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req RunRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.RunRouteKey(req.Suite, req.App, req.Scheme), body) {
 		return
 	}
 	p, ok := lookupProfile(w, req.Suite, req.App)
@@ -225,11 +236,6 @@ func (s *Server) noteResolved(ri *reqInfo, hash string) {
 // handleCompile reports static compilation statistics without running
 // anything (cheap; still admitted so drain accounting covers it).
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
 	var req CompileRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -262,24 +268,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // simulation runs on the shared worker pool so -j bounds it with
 // everything else.
 func (s *Server) handleRunWithFailure(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req FailureRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	// Failure requests carry no scheme field; the route key's empty scheme
-	// matches what the lb derives from the same body.
-	if s.forwardOwned(w, r, fleet.RunRouteKey(req.Suite, req.App, ""), body) {
 		return
 	}
 	p, ok := lookupProfile(w, req.Suite, req.App)
@@ -328,22 +319,9 @@ func (s *Server) handleRunWithFailure(w http.ResponseWriter, r *http.Request) {
 // handleCrashfuzz runs one crash-consistency fuzzing campaign on the shared
 // pool, memoizing passing verdicts in the shared blob cache.
 func (s *Server) handleCrashfuzz(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req CrashfuzzRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.RunRouteKey(req.Suite, req.App, ""), body) {
 		return
 	}
 	p, ok := lookupProfile(w, req.Suite, req.App)
@@ -382,11 +360,6 @@ func (s *Server) handleCrashfuzz(w http.ResponseWriter, r *http.Request) {
 // context-bound view of the shared Runner, so its grid lands in the same
 // caches every other request uses.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
 	var req ExperimentRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

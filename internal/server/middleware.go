@@ -83,7 +83,9 @@ func (w *statusWriter) Flush() {
 // instrument wraps a handler with the telemetry plane: trace identity
 // (honoring a valid inbound X-LightWSP-Trace, generating one otherwise, and
 // always echoing it on the response), panic recovery (the stack is logged
-// with the request ID and the client gets a 500, not a torn connection),
+// with the request ID and the client gets a 500, not a torn connection;
+// http.ErrAbortHandler, which tears the connection on purpose, passes on
+// after the accounting),
 // request metrics, the recent-run registry, flight-recorder dumps for
 // requests that died, and one structured access-log line. readOnly marks
 // cheap introspection endpoints whose access logs stay at debug level so
@@ -107,7 +109,15 @@ func (s *Server) instrument(endpoint string, readOnly bool, h http.HandlerFunc) 
 		sw := &statusWriter{ResponseWriter: w}
 
 		defer func() {
-			if p := recover(); p != nil {
+			p := recover()
+			if p == http.ErrAbortHandler {
+				// A forwarded response broke off after its status went out
+				// (fleet.Proxy): account for the request, then let net/http
+				// abort the connection so the client sees the cut.
+				if ri.err == nil {
+					ri.err = fmt.Errorf("response aborted: %w", http.ErrAbortHandler)
+				}
+			} else if p != nil {
 				s.tel.panics.Add(1)
 				if ri.err == nil {
 					ri.err = fmt.Errorf("panic: %v", p)
@@ -134,6 +144,9 @@ func (s *Server) instrument(endpoint string, readOnly bool, h http.HandlerFunc) 
 			}
 			s.noteRun(ri, status, d)
 			s.accessLog(r, ri, status, d, readOnly)
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
 		}()
 
 		h(sw, r)

@@ -12,6 +12,7 @@ import (
 	"lightwsp/internal/fleet"
 	"lightwsp/internal/hostfs"
 	"lightwsp/internal/obs"
+	"lightwsp/internal/probe"
 )
 
 // This file is the HTTP face of durable sessions (experiments/session.go):
@@ -213,16 +214,6 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*experim
 // an omitted ID gets a generated one; an omitted snapshot cadence inherits
 // the server default.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req SessionCreateRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -250,17 +241,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: fmt.Sprintf("invalid session id %q", id)})
 		return
 	}
-	// A create with no client-chosen ID is unkeyed at the lb, so it may
-	// land anywhere; the minted ID decides the owner. Forward the request
-	// with the ID filled in so the owner creates exactly this session.
-	if id != req.ID {
+	// A create with no client-chosen ID is unkeyed, so it may land
+	// anywhere; the minted ID decides the owner. Forward the request with
+	// the ID filled in so the owner creates exactly this session.
+	if req.ID == "" {
 		req.ID = id
-		if nb, merr := json.Marshal(req); merr == nil {
-			body = nb
+		if body, err := json.Marshal(req); err == nil && s.forwardOwned(w, r, body) {
+			return
 		}
-	}
-	if s.forwardOwned(w, r, fleet.SessionRouteKey(id), body) {
-		return
 	}
 	if s.sessions == nil {
 		writeJSON(w, http.StatusServiceUnavailable,
@@ -305,9 +293,6 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionGet (GET /v1/session/{id}) reports one session's status.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	if s.forwardOwned(w, r, fleet.SessionRouteKey(r.PathValue("id")), nil) {
-		return
-	}
 	sess, ok := s.lookupSession(w, r)
 	if !ok {
 		return
@@ -321,15 +306,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // handleSessionDelete (DELETE /v1/session/{id}) removes a session and its
 // snapshots. A busy session is 409 — interrupt the client first.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
 	id := r.PathValue("id")
-	if s.forwardOwned(w, r, fleet.SessionRouteKey(id), nil) {
-		return
-	}
 	if s.sessions == nil {
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorResponse{Error: "sessions disabled; start the server with a session directory"})
@@ -353,19 +330,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // every advance stream a client ever received IS the session's canonical
 // event stream — byte-identical to what a resume replays.
 func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.SessionRouteKey(r.PathValue("id")), body) {
-		return
-	}
 	sess, ok := s.lookupSession(w, r)
 	if !ok {
 		return
@@ -375,63 +339,28 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	ri := reqInfoFrom(r.Context())
-	ri.session = sess.ID
-	ri.suite, ri.app, ri.scheme = sess.Spec.Suite, sess.Spec.App, sess.Spec.Scheme
-
-	st := sess.Status()
-	if st.Busy {
-		writeJSON(w, http.StatusConflict, errorResponse{
-			Error: fmt.Sprintf("session %q busy: another operation is in flight", sess.ID)})
-		return
-	}
-	if !st.Done && req.Target > st.Total && req.Target-st.Total > s.cfg.MaxRunCycles {
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: fmt.Sprintf(
-			"advance of %d cycles exceeds the per-request budget of %d; advance in smaller steps",
-			req.Target-st.Total, s.cfg.MaxRunCycles)})
-		return
-	}
-	// Graceful degradation: a store that lost durability fails advances
-	// fast (503 + Retry-After via writeErr) instead of burning a worker on
-	// an operation whose journal append cannot be honored. The active probe
-	// clears the flag the moment the disk recovers.
-	if s.sessions.Degraded() && !s.sessions.RecheckDurability() {
-		writeErr(w, r, fmt.Errorf("session store %q cannot persist: %w",
-			s.cfg.SessionDir, experiments.ErrDurabilityLost))
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	ctx, detach := s.attachFlight(ctx, ri)
-	defer detach()
-
-	enc, flusher := s.startSessionStream(w)
-	emit := func(ev experiments.SessionEvent) error {
-		if err := enc.Encode(ev); err != nil {
-			return err
+	vet := func(st experiments.SessionStatus) bool {
+		if !st.Done && req.Target > st.Total && req.Target-st.Total > s.cfg.MaxRunCycles {
+			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: fmt.Sprintf(
+				"advance of %d cycles exceeds the per-request budget of %d; advance in smaller steps",
+				req.Target-st.Total, s.cfg.MaxRunCycles)})
+			return false
 		}
-		if flusher != nil {
-			flusher.Flush()
+		// Graceful degradation: a store that lost durability fails advances
+		// fast (503 + Retry-After via writeErr) instead of burning a worker
+		// on an operation whose journal append cannot be honored. The active
+		// probe clears the flag the moment the disk recovers.
+		if s.sessions.Degraded() && !s.sessions.RecheckDurability() {
+			writeErr(w, r, fmt.Errorf("session store %q cannot persist: %w",
+				s.cfg.SessionDir, experiments.ErrDurabilityLost))
+			return false
 		}
-		return nil
+		return true
 	}
-	err = nil
-	queued := time.Now()
-	perr := s.pool.DoCtx(ctx, func() {
-		ri.queueWait = time.Since(queued)
-		err = sess.Advance(ctx, req.Target, emit, ri.flight)
-	})
-	if perr != nil {
-		err = perr
-	}
-	if err != nil {
-		ri.err = err
-		enc.Encode(streamEvent{Type: "error", Error: err.Error(), Trace: ri.traceID})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	s.streamSession(w, r, sess, req.TimeoutMS, vet, nil,
+		func(ctx context.Context, emit func(experiments.SessionEvent) error, flight probe.Sink) error {
+			return sess.Advance(ctx, req.Target, emit, flight)
+		})
 }
 
 // sessionResumeHeader is the one unnumbered line a resume stream starts
@@ -450,19 +379,6 @@ type sessionResumeHeader struct {
 // re-executes the journal forward, and streams exactly the events after
 // last_seq — byte-identical to the stream an uninterrupted client received.
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.SessionRouteKey(r.PathValue("id")), body) {
-		return
-	}
 	sess, ok := s.lookupSession(w, r)
 	if !ok {
 		return
@@ -473,51 +389,11 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ri := reqInfoFrom(r.Context())
-	ri.session = sess.ID
-	ri.suite, ri.app, ri.scheme = sess.Spec.Suite, sess.Spec.App, sess.Spec.Scheme
-
-	if st := sess.Status(); st.Busy {
-		writeJSON(w, http.StatusConflict, errorResponse{
-			Error: fmt.Sprintf("session %q busy: another operation is in flight", sess.ID)})
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	ctx, detach := s.attachFlight(ctx, ri)
-	defer detach()
-
-	enc, flusher := s.startSessionStream(w)
-	enc.Encode(sessionResumeHeader{
-		Type: "resume", Session: sess.ID, FromSeq: req.LastSeq, Trace: ri.traceID,
-	})
-	if flusher != nil {
-		flusher.Flush()
-	}
-	emit := func(ev experiments.SessionEvent) error {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	err = nil
-	queued := time.Now()
-	perr := s.pool.DoCtx(ctx, func() {
-		ri.queueWait = time.Since(queued)
-		err = sess.Resume(ctx, req.LastSeq, emit, ri.flight)
-	})
-	if perr != nil {
-		err = perr
-	}
-	if err != nil {
-		ri.err = err
-		enc.Encode(streamEvent{Type: "error", Error: err.Error(), Trace: ri.traceID})
-		if flusher != nil {
-			flusher.Flush()
-		}
+	head := sessionResumeHeader{Type: "resume", Session: sess.ID, FromSeq: req.LastSeq, Trace: ri.traceID}
+	if !s.streamSession(w, r, sess, req.TimeoutMS, nil, head,
+		func(ctx context.Context, emit func(experiments.SessionEvent) error, flight probe.Sink) error {
+			return sess.Resume(ctx, req.LastSeq, emit, flight)
+		}) {
 		return
 	}
 	s.tel.sessionResumes.Add(1)
@@ -525,11 +401,52 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		"trace", ri.traceID, "session", sess.ID, "from_seq", req.LastSeq)
 }
 
-// startSessionStream flips the response into NDJSON streaming mode.
-func (s *Server) startSessionStream(w http.ResponseWriter) (*json.Encoder, http.Flusher) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	return json.NewEncoder(w), flusher
+// streamSession runs one streamed operation on sess, an advance or a
+// resume, and reports whether it ran and succeeded. A busy session is 409;
+// vet, when set, may refuse the operation with its own answer before the
+// stream starts. The operation then runs on the worker pool under the
+// request's deadline and flight recorder, its events stream as NDJSON after
+// head (when set), and a failure ends the stream with an unnumbered error
+// line.
+func (s *Server) streamSession(w http.ResponseWriter, r *http.Request, sess *experiments.Session, timeoutMS int64,
+	vet func(experiments.SessionStatus) bool, head any,
+	op func(ctx context.Context, emit func(experiments.SessionEvent) error, flight probe.Sink) error) bool {
+	ri := reqInfoFrom(r.Context())
+	ri.session = sess.ID
+	ri.suite, ri.app, ri.scheme = sess.Spec.Suite, sess.Spec.App, sess.Spec.Scheme
+
+	st := sess.Status()
+	if st.Busy {
+		writeJSON(w, http.StatusConflict, errorResponse{
+			Error: fmt.Sprintf("session %q busy: another operation is in flight", sess.ID)})
+		return false
+	}
+	if vet != nil && !vet(st) {
+		return false
+	}
+
+	ctx, cancel := s.requestCtx(r, timeoutMS)
+	defer cancel()
+	ctx, detach := s.attachFlight(ctx, ri)
+	defer detach()
+
+	out := newNDJSON(w)
+	out.start()
+	if head != nil {
+		out.line(head)
+	}
+	var err error
+	queued := time.Now()
+	perr := s.pool.DoCtx(ctx, func() {
+		ri.queueWait = time.Since(queued)
+		err = op(ctx, func(ev experiments.SessionEvent) error { return out.line(ev) }, ri.flight)
+	})
+	if perr != nil {
+		err = perr
+	}
+	if err != nil {
+		out.fail(ri, err)
+		return false
+	}
+	return true
 }

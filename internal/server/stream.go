@@ -7,7 +7,6 @@ import (
 
 	"lightwsp/internal/compiler"
 	"lightwsp/internal/experiments"
-	"lightwsp/internal/fleet"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/metrics"
 	"lightwsp/internal/probe"
@@ -39,13 +38,48 @@ type streamEvent struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// streamSink writes milestone probe events straight onto the response
-// stream. It is driven from the single simulation goroutine, so no
-// locking; flushing per event keeps latency low at milestone rates.
-type streamSink struct {
+// ndjson writes a response as NDJSON, one JSON value per line, and flushes
+// every line so that it reaches the client as it happens.
+type ndjson struct {
+	w     http.ResponseWriter
 	enc   *json.Encoder
 	flush http.Flusher
 }
+
+func newNDJSON(w http.ResponseWriter) *ndjson {
+	f, _ := w.(http.Flusher)
+	return &ndjson{w: w, enc: json.NewEncoder(w), flush: f}
+}
+
+// start sends the stream's 200 header.
+func (n *ndjson) start() {
+	n.w.Header().Set("Content-Type", "application/x-ndjson")
+	n.w.Header().Set("X-Accel-Buffering", "no")
+	n.w.WriteHeader(http.StatusOK)
+}
+
+// line writes v as the stream's next line.
+func (n *ndjson) line(v any) error {
+	if err := n.enc.Encode(v); err != nil {
+		return err
+	}
+	if n.flush != nil {
+		n.flush.Flush()
+	}
+	return nil
+}
+
+// fail ends a failed request's stream with an unnumbered error line and
+// records the error in the request's telemetry.
+func (n *ndjson) fail(ri *reqInfo, err error) {
+	ri.err = err
+	n.line(streamEvent{Type: "error", Error: err.Error(), Trace: ri.traceID})
+}
+
+// streamSink writes milestone probe events straight onto the response
+// stream. It is driven from the single simulation goroutine, so no
+// locking; flushing per event keeps latency low at milestone rates.
+type streamSink struct{ out *ndjson }
 
 func (ss *streamSink) Emit(e probe.Event) {
 	// probe.MilestoneKind selects the rare protocol transitions worth a
@@ -54,13 +88,10 @@ func (ss *streamSink) Emit(e probe.Event) {
 	if !probe.MilestoneKind(e.Kind) {
 		return
 	}
-	ss.enc.Encode(streamEvent{
+	ss.out.line(streamEvent{
 		Type: "event", Kind: e.Kind.String(), Cycle: e.Cycle,
 		Core: e.Core, MC: e.MC, Region: e.Region, Arg: e.Arg,
 	})
-	if ss.flush != nil {
-		ss.flush.Flush()
-	}
 }
 
 // handleRunStream executes one fresh simulation and streams NDJSON while it
@@ -69,22 +100,9 @@ func (ss *streamSink) Emit(e probe.Event) {
 // bypass the result cache — the event stream is the product — but still
 // execute on the shared worker pool under admission control.
 func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req RunRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.RunRouteKey(req.Suite, req.App, req.Scheme), body) {
 		return
 	}
 	p, ok := lookupProfile(w, req.Suite, req.App)
@@ -106,29 +124,16 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	// The runtime is built before the header goes out, so a build or
 	// compile error still gets a status code; its sinks emit nothing until
 	// a system runs.
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	ss := &streamSink{enc: enc, flush: flusher}
+	out := newNDJSON(w)
 	m := metrics.New()
 	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
-	rt, err := experiments.BuildRuntime(p, sch, cfg, ccfg, probe.Multi(m, ss, ri.flight))
+	rt, err := experiments.BuildRuntime(p, sch, cfg, ccfg, probe.Multi(m, &streamSink{out}, ri.flight))
 	if err != nil {
 		ri.err = err
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	fail := func(err error) {
-		ri.err = err
-		enc.Encode(streamEvent{Type: "error", Error: err.Error(), Trace: ri.traceID})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	out.start()
 
 	queued := time.Now()
 	perr := s.pool.DoCtx(ctx, func() {
@@ -154,25 +159,18 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 				err = sys.RunContext(ctx, s.cfg.MaxRunCycles) // surfaces the budget error
 				return
 			}
-			enc.Encode(streamEvent{Type: "progress", Cycle: sys.Cycle()})
-			if flusher != nil {
-				flusher.Flush()
-			}
+			out.line(streamEvent{Type: "progress", Cycle: sys.Cycle()})
 		}
 		snap := m.Snapshot()
-		enc.Encode(streamEvent{
+		out.line(streamEvent{
 			Type: "stats", Cycle: sys.Cycle(),
 			Stats: sys.Stats, Metric: &snap, Trace: ri.traceID,
 		})
-		if flusher != nil {
-			flusher.Flush()
-		}
 	})
 	if perr != nil {
-		fail(perr)
-		return
+		err = perr
 	}
 	if err != nil {
-		fail(err)
+		out.fail(ri, err)
 	}
 }
