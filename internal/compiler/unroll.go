@@ -15,10 +15,12 @@ import (
 // the transformation is valid for any trip count — this is exactly the
 // "speculative loop unrolling" of [39], [53].
 //
-// Only self-loops (single-block bodies, the common shape after the workload
-// generator and typical of innermost loops) are unrolled; the factor is the
-// largest u ≤ MaxUnroll such that u × bodyStores plus the region-closing
-// overhead stays under the store threshold.
+// Only self-loops (single-block bodies, typical of innermost loops) are
+// unrolled; the factor is the largest u ≤ MaxUnroll such that u ×
+// bodyStores plus the region-closing overhead stays under the store
+// threshold. The workload generator emits no inner loops, so no evaluation
+// program has one (TestPassFiringCounts); hand-built and random programs
+// exercise the pass.
 //
 // It returns the number of loops unrolled.
 func (c *funcCompiler) unrollLoops() (count int) {

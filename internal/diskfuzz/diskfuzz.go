@@ -264,7 +264,7 @@ func (c *campaign) plan(round int) hostfs.Plan {
 // pass (scrub + resume) over the bare crashed image.
 func (c *campaign) sessionLeg(round int, plan hostfs.Plan) error {
 	mem := hostfs.NewMem(plan)
-	fsys := hostfs.WithRetry(hostfs.Inject(mem, plan), hostfs.RetryPolicy{Sleep: func(time.Duration) {}})
+	fsys := hostfs.Inject(mem, plan)
 	const dir = "sessions"
 	discard := func(experiments.SessionEvent) error { return nil }
 	for leg := 0; leg < c.cfg.Legs; leg++ {
@@ -367,9 +367,8 @@ func (c *campaign) blobLeg(round int, plan hostfs.Plan) error {
 	bplan := plan
 	bplan.Seed = roundSeed(plan.Seed, 0x6b) // decorrelate from the session leg
 	mem := hostfs.NewMem(bplan)
-	fsys := hostfs.WithRetry(hostfs.Inject(mem, bplan), hostfs.RetryPolicy{Sleep: func(time.Duration) {}})
 	const dir = "blobs"
-	cache := experiments.NewBlobCacheFS(dir, fsys)
+	cache := experiments.NewBlobCacheFS(dir, hostfs.Inject(mem, bplan))
 	cache.SetObserver(nil, c.counters)
 	cache.SetInsecureSkipVerify(c.cfg.SkipVerify)
 	for i := 0; i < blobsPerRound; i++ {

@@ -53,8 +53,14 @@ func NewBlobCache(dir string) *BlobCache { return NewBlobCacheFS(dir, hostfs.Dis
 
 // NewBlobCacheFS returns a store rooted at dir over an injectable host
 // filesystem (tests and fuzz campaigns pass hostfs.NewMem/Inject stacks).
+// Transient failures of whole-file operations are retried
+// (hostfs.WithRetry), and each retry counts in the cache's Retries.
 func NewBlobCacheFS(dir string, fsys hostfs.FS) *BlobCache {
-	return &BlobCache{dir: dir, fs: fsys, counters: DefaultStorageCounters}
+	c := &BlobCache{dir: dir, counters: DefaultStorageCounters}
+	c.fs = hostfs.WithRetry(fsys, hostfs.RetryPolicy{
+		OnRetry: func(string, int, error) { c.counters.Retries.Add(1) },
+	})
+	return c
 }
 
 // SetObserver routes the cache's failure logging and counters; nil log

@@ -56,7 +56,11 @@ const (
 	sessionSchemaVersion = 2
 	// snapshotSchemaVersion covers content-addressed session snapshot blobs
 	// (drained PM image + resume metadata).
-	snapshotSchemaVersion = 1
+	//
+	// v2: the WPQ emits its own events, which moves the probe-stream
+	// position a snapshot's BootSeq names in multi-threaded sessions; a v1
+	// snapshot reads as a miss and the session replays its journal.
+	snapshotSchemaVersion = 2
 )
 
 // The codec table: one entry per persisted artifact family.

@@ -109,12 +109,16 @@ func (r ScrubReport) Removed() int {
 // manifest references, and enforces an optional size quota. It is the
 // offline counterpart of the read-path self-healing in BlobCache: ReadJSON
 // heals entries a live workload touches; scrub heals the ones nothing reads
-// anymore.
+// anymore. Transient failures of whole-file operations are retried
+// (hostfs.WithRetry), and each retry counts in the counters' Retries.
 func ScrubStore(fsys hostfs.FS, dir string, opt ScrubOptions) (ScrubReport, error) {
 	counters := opt.Counters
 	if counters == nil {
 		counters = DefaultStorageCounters
 	}
+	fsys = hostfs.WithRetry(fsys, hostfs.RetryPolicy{
+		OnRetry: func(string, int, error) { counters.Retries.Add(1) },
+	})
 	note := func(action, name string, err error) {
 		if opt.Log != nil {
 			opt.Log.Info("scrub", "action", action, "entry", name, "dir", dir, "cause", err)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -189,5 +191,41 @@ func TestAdversarialSnoopingRow(t *testing.T) {
 	}
 	if rates[1] <= rates[0] {
 		t.Fatalf("stale-load mode (%.2f%%) not worse than snooping (%.2f%%)", rates[1], rates[0])
+	}
+}
+
+// TestRegistryDescsMatchExperimentsDoc: each registry description, which
+// GET /v1/experiments serves, is its experiment's title in EXPERIMENTS.md —
+// the text after the dash of its heading, or an ablation's bold label.
+func TestRegistryDescsMatchExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, l := range strings.Split(string(doc), "\n") {
+		lines[l] = true
+	}
+	// The line each experiment's title sits on, with %s for the title.
+	title := map[string]string{
+		"tab2":              "## Table II — %s",
+		"regions":           "## §V-G3 — %s",
+		"hwcost":            "## §V-G4 — %s",
+		"recovery":          "## §III-E / §IV-F — %s",
+		"ablation-lrpo":     "**%s** (the §III-B strawman):",
+		"ablation-compiler": "**%s** (§IV-A):",
+	}
+	for _, e := range Registry() {
+		format, ok := title[e.Name]
+		if n, isFig := strings.CutPrefix(e.Name, "fig"); isFig {
+			format, ok = "## Figure "+n+" — %s", true
+		}
+		if !ok {
+			t.Errorf("%s: no EXPERIMENTS.md title line known", e.Name)
+			continue
+		}
+		if want := fmt.Sprintf(format, e.Desc); !lines[want] {
+			t.Errorf("%s: EXPERIMENTS.md has no line %q", e.Name, want)
+		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 type Experiment struct {
 	// Name is the stable identifier (fig7, tab2, regions, ...).
 	Name string
-	// Desc is a one-line description for listings.
+	// Desc is a one-line description for listings: the experiment's title
+	// in EXPERIMENTS.md.
 	Desc string
 	// Run executes the driver over r's pool and caches.
 	Run func(r *Runner) (fmt.Stringer, error)
@@ -29,24 +30,24 @@ type Experiment struct {
 // Registry returns the evaluation experiments in presentation order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"fig7", "slowdown over baseline, all 38 applications", func(r *Runner) (fmt.Stringer, error) { return Fig7(r) }},
-		{"fig8", "slowdown vs Capri/PPA/cWSP", func(r *Runner) (fmt.Stringer, error) { return Fig8(r) }},
-		{"fig9", "memory-intensive applications vs ideal PSP", func(r *Runner) (fmt.Stringer, error) { return Fig9(r) }},
-		{"fig10", "multi-threaded STAMP/NPB/SPLASH3 slowdowns", func(r *Runner) (fmt.Stringer, error) { return Fig10(r) }},
-		{"fig11", "WPQ-size sensitivity sweep", func(r *Runner) (fmt.Stringer, error) { return Fig11(r) }},
-		{"fig12", "persist-path bandwidth sensitivity sweep", func(r *Runner) (fmt.Stringer, error) { return Fig12(r) }},
-		{"fig13", "memory-controller count sweep", func(r *Runner) (fmt.Stringer, error) { return Fig13(r) }},
-		{"fig14", "boundary-snoop traffic", func(r *Runner) (fmt.Stringer, error) { return Fig14(r) }},
-		{"fig15", "PM write-latency sensitivity sweep", func(r *Runner) (fmt.Stringer, error) { return Fig15(r) }},
-		{"fig16", "store-threshold sensitivity", func(r *Runner) (fmt.Stringer, error) { return Fig16(r) }},
-		{"fig17", "DRAM-cache sensitivity sweep", func(r *Runner) (fmt.Stringer, error) { return Fig17(r) }},
-		{"fig18", "thread-count scaling", func(r *Runner) (fmt.Stringer, error) { return Fig18(r) }},
-		{"tab2", "persist-path traffic breakdown (Table 2)", func(r *Runner) (fmt.Stringer, error) { return Table2(r) }},
-		{"regions", "region-length and checkpoint statistics", func(r *Runner) (fmt.Stringer, error) { return RegionStats(r) }},
-		{"hwcost", "hardware cost model (Table I deltas)", func(r *Runner) (fmt.Stringer, error) { return HWCost(8, 2), nil }},
-		{"recovery", "recovery-correctness sweep", func(r *Runner) (fmt.Stringer, error) { return RecoverySweep(10) }},
-		{"ablation-lrpo", "LRPO ablation (naive sfence per region)", func(r *Runner) (fmt.Stringer, error) { return AblationLRPO(r) }},
-		{"ablation-compiler", "compiler-pass ablation", func(r *Runner) (fmt.Stringer, error) { return AblationCompiler(r) }},
+		{"fig7", "headline comparison (Capri / PPA / LightWSP)", func(r *Runner) (fmt.Stringer, error) { return Fig7(r) }},
+		{"fig8", "region-level persistence efficiency (Eq. 1)", func(r *Runner) (fmt.Stringer, error) { return Fig8(r) }},
+		{"fig9", "ideal PSP vs. whole-system persistence", func(r *Runner) (fmt.Stringer, error) { return Fig9(r) }},
+		{"fig10", "cWSP vs. LightWSP", func(r *Runner) (fmt.Stringer, error) { return Fig10(r) }},
+		{"fig11", "WPQ size sensitivity (64/128/256)", func(r *Runner) (fmt.Stringer, error) { return Fig11(r) }},
+		{"fig12", "store-threshold sensitivity (16/32/64 at WPQ 64)", func(r *Runner) (fmt.Stringer, error) { return Fig12(r) }},
+		{"fig13", "buffer-snooping victim policies", func(r *Runner) (fmt.Stringer, error) { return Fig13(r) }},
+		{"fig14", "cache miss rate with/without snooping", func(r *Runner) (fmt.Stringer, error) { return Fig14(r) }},
+		{"fig15", "persist-path bandwidth (4/2/1 GB/s)", func(r *Runner) (fmt.Stringer, error) { return Fig15(r) }},
+		{"fig16", "thread count (8/16/32/64)", func(r *Runner) (fmt.Stringer, error) { return Fig16(r) }},
+		{"fig17", "CXL device configurations (Table III)", func(r *Runner) (fmt.Stringer, error) { return Fig17(r) }},
+		{"fig18", "WPQ load-hit rate", func(r *Runner) (fmt.Stringer, error) { return Fig18(r) }},
+		{"tab2", "buffer-conflict rate", func(r *Runner) (fmt.Stringer, error) { return Table2(r) }},
+		{"regions", "region statistics", func(r *Runner) (fmt.Stringer, error) { return RegionStats(r) }},
+		{"hwcost", "hardware cost", func(r *Runner) (fmt.Stringer, error) { return HWCost(8, 2), nil }},
+		{"recovery", "recovery protocol validation", func(r *Runner) (fmt.Stringer, error) { return RecoverySweep(10) }},
+		{"ablation-lrpo", "Lazy region-level persist ordering", func(r *Runner) (fmt.Stringer, error) { return AblationLRPO(r) }},
+		{"ablation-compiler", "Compiler optimizations", func(r *Runner) (fmt.Stringer, error) { return AblationCompiler(r) }},
 	}
 }
 

@@ -250,23 +250,29 @@ func OpenSessionStore(dir string) (*SessionStore, error) {
 }
 
 // OpenSessionStoreFS opens a session store over an injectable host
-// filesystem; tests and the diskfuzz campaign pass hostfs.NewMem/Inject/
-// WithRetry stacks, production passes hostfs.Disk().
+// filesystem; tests and the diskfuzz campaign pass hostfs.NewMem/Inject
+// stacks, production passes hostfs.Disk(). Transient failures of whole-file
+// operations are retried (hostfs.WithRetry) with the store's retry sleep,
+// and each retry counts in the store's Retries; the store's blob caches
+// share that one layer.
 func OpenSessionStoreFS(dir string, fsys hostfs.FS) (*SessionStore, error) {
 	if dir == "" {
 		return nil, errors.New("experiments: empty session store dir")
 	}
-	if err := fsys.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
-		return nil, err
-	}
 	st := &SessionStore{
 		dir:      dir,
-		fs:       fsys,
-		blobs:    NewBlobCacheFS(filepath.Join(dir, "blobs"), fsys),
 		counters: DefaultStorageCounters,
 		sleep:    time.Sleep,
 		open:     map[string]*Session{},
 	}
+	st.fs = hostfs.WithRetry(fsys, hostfs.RetryPolicy{
+		Sleep:   func(d time.Duration) { st.sleep(d) },
+		OnRetry: func(string, int, error) { st.counters.Retries.Add(1) },
+	})
+	if err := st.fs.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		return nil, err
+	}
+	st.blobs = NewBlobCacheFS(filepath.Join(dir, "blobs"), st.fs)
 	st.snaps = st.blobs
 	return st, nil
 }

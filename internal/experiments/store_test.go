@@ -171,6 +171,34 @@ func TestBlobCacheLeaseExclusionMemFS(t *testing.T) {
 	}
 }
 
+// TestBlobCacheRetriesTransientIO: a blob cache retries a whole-file
+// operation that fails with a transient EIO, up to three attempts in all,
+// and counts each retry.
+func TestBlobCacheRetriesTransientIO(t *testing.T) {
+	disk := hostfs.NewMem(hostfs.Plan{})
+	NewBlobCacheFS("store", disk).WriteJSON("aaaa", map[string]int{"x": 1})
+	read := func(eioPct, reads int) (hits int, retries uint64) {
+		c := NewBlobCacheFS("store", hostfs.Inject(disk, hostfs.Plan{Seed: 1, EIOPct: eioPct}))
+		counters := &StorageCounters{}
+		c.SetObserver(nil, counters)
+		for i := 0; i < reads; i++ {
+			var out map[string]int
+			if c.ReadJSON("aaaa", &out) && out["x"] == 1 {
+				hits++
+			}
+		}
+		return hits, counters.Retries.Load()
+	}
+	if hits, retries := read(100, 1); hits != 0 || retries != 2 {
+		t.Fatalf("a read on a dead disk: %d hits, %d retries; want 0 and 2", hits, retries)
+	}
+	// One attempt in two fails, so a read misses only when all three do:
+	// about 5 of 40, where a single attempt would miss about 20.
+	if hits, retries := read(50, 40); hits < 30 || retries == 0 {
+		t.Fatalf("40 reads at eio=50: %d hits, %d retries", hits, retries)
+	}
+}
+
 // TestRawRoundTrip proves the peer transfer unit: ReadRaw hands back sealed
 // bytes that WriteRaw on another store accepts and that read back equal.
 func TestRawRoundTrip(t *testing.T) {

@@ -52,9 +52,10 @@ func ReadBody(r *http.Request) ([]byte, error) {
 // (scheme://host[:port]) and streams the response back — NDJSON event
 // streams flush line by line. It reports whether anything was written to
 // w: when it returns (written=false, err!=nil) nothing went out, and the
-// caller may try another node or serve the request itself. A response the
-// target breaks off after its status went out aborts w's response with
-// panic(http.ErrAbortHandler), as httputil.ReverseProxy does, so the
+// caller may try another node or serve the request itself. When it returns
+// (written=true, err!=nil) the target broke the response off after its
+// status went out: the caller counts the forward, then aborts w's response
+// with panic(http.ErrAbortHandler), as httputil.ReverseProxy does, so the
 // client sees a broken stream instead of a short one that ends cleanly.
 //
 // A forwarding node sets ForwardedHeader on r before calling; Proxy itself
@@ -90,10 +91,7 @@ func Proxy(w http.ResponseWriter, r *http.Request, body []byte, targetBase strin
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	if copyBody(w, resp.Body, resp.ContentLength < 0) != nil {
-		panic(http.ErrAbortHandler)
-	}
-	return true, nil
+	return true, copyBody(w, resp.Body, resp.ContentLength < 0)
 }
 
 // copyBufs holds the buffers copyBody moves response bytes through, so a

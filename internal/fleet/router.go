@@ -263,6 +263,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if i > 0 {
 				rt.failovers.Add(1)
 			}
+			if err != nil {
+				panic(http.ErrAbortHandler) // the stream was cut; see Proxy
+			}
 			return
 		}
 		if r.Context().Err() != nil {

@@ -440,9 +440,11 @@ func cutUpstream(t *testing.T) *httptest.Server {
 }
 
 // TestRouterAbortsCutStream: a stream the owner breaks off reaches the
-// client broken, not as a short stream that ends cleanly.
+// client broken, not as a short stream that ends cleanly, and the lb counts
+// the forward.
 func TestRouterAbortsCutStream(t *testing.T) {
-	lb := httptest.NewServer(NewRouter(RouterConfig{Nodes: []string{cutUpstream(t).URL}}))
+	rt := NewRouter(RouterConfig{Nodes: []string{cutUpstream(t).URL}})
+	lb := httptest.NewServer(rt)
 	defer lb.Close()
 
 	resp, err := http.Post(lb.URL+"/v1/session/s1/advance", "application/json", strings.NewReader(`{"target":1000}`))
@@ -456,6 +458,10 @@ func TestRouterAbortsCutStream(t *testing.T) {
 	}
 	if string(body) != `{"seq":1}`+"\n" {
 		t.Fatalf("before the cut the client got %q", body)
+	}
+	lb.Close() // waits for the lb's handler to finish its accounting
+	if n := rt.forwarded.Load(); n != 1 {
+		t.Fatalf("the cut forward counted %d times, want 1", n)
 	}
 }
 

@@ -21,8 +21,9 @@
 //     the style of internal/faults.
 //
 // WithRetry composes over any of them, retrying transient failures with
-// bounded backoff. Only the diskfuzz campaign composes it: production code
-// retries where it writes, inside blob writes and journal appends.
+// bounded backoff. The durable stores' constructors apply it to whatever FS
+// they are given, so production, the diskfuzz campaign and tests all run
+// the same stack.
 package hostfs
 
 import (

@@ -52,8 +52,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // are retried; File handles pass through unwrapped, because re-driving a
 // partially applied Write is not idempotent — handle-level recovery (tear
 // down, truncate, re-append) belongs to the caller, and the session
-// journal implements exactly that.
+// journal implements exactly that. An fs that WithRetry already wrapped is
+// returned unchanged, with its own policy, so stacks never nest.
 func WithRetry(fsys FS, p RetryPolicy) FS {
+	if _, ok := fsys.(*retryFS); ok {
+		return fsys
+	}
 	return &retryFS{inner: fsys, p: p.withDefaults()}
 }
 

@@ -81,7 +81,7 @@ func (s *System) batteryCopy() *System {
 	}
 	c.net.SetInjector(c.inj)
 	for _, m := range s.mcs {
-		c.mcs = append(c.mcs, &mc{id: m.id, q: m.q.Clone(c.queueSinks(m.id))})
+		c.mcs = append(c.mcs, &mc{id: m.id, q: m.q.Clone(c.queueSinks())})
 	}
 	return c
 }
@@ -129,7 +129,7 @@ func (s *System) drain() FailureReport {
 	for {
 		progress := false
 		for _, m := range s.mcs {
-			progress = m.q.DrainStep(exchange) || progress
+			progress = m.q.DrainStep(s.cycle, exchange) || progress
 		}
 		if !progress {
 			break

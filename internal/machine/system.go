@@ -179,7 +179,7 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 			FirstRegion:  firstRegion,
 			RetryTimeout: cfg.retryTimeout(), RetryBudget: cfg.retryBudget(),
 			BrokenDupAcks: cfg.BrokenDupAcks,
-		}, s.queueSinks(m))
+		}, s.queueSinks())
 		s.mcs = append(s.mcs, ctrl)
 	}
 	s.stuckSince = make([]uint64, cfg.NumMCs)
@@ -211,14 +211,14 @@ func newBare(prog *isa.Program, cfg Config, scheme Scheme, firstRegion uint64) (
 	return s, nil
 }
 
-// queueSinks wires controller m's WPQ to this machine: its PM image, its
+// queueSinks wires a controller's WPQ to this machine: its PM image, its
 // NoC at the current cycle, and its flush and degradation bookkeeping.
-func (s *System) queueSinks(m int) wpq.Sinks {
+func (s *System) queueSinks() wpq.Sinks {
 	return wpq.Sinks{
 		PMWrite:       s.pmWrite,
 		PMRead:        func(a uint64) uint64 { return s.pm.Read(a) },
 		Send:          func(msg noc.Message) { s.net.Send(s.cycle, msg) },
-		OnFlush:       func(e wpq.Entry) { s.onFlush(m, e) },
+		OnFlush:       s.onFlush,
 		OnPeerTimeout: s.onPeerTimeout,
 	}
 }
@@ -268,19 +268,13 @@ func (s *System) nextRegion() uint64 {
 
 func (s *System) pmWrite(addr, val uint64) { s.pm.Write(addr, val) }
 
-func (s *System) onFlush(mcID int, e wpq.Entry) {
+// onFlush settles the machine's accounting for an entry the WPQ wrote to PM.
+func (s *System) onFlush(e wpq.Entry) {
 	s.wpqPending--
 	s.Stats.PersistFlushed++
 	s.Stats.PersistResidency += s.cycle - e.Born
 	if e.Core >= 0 && e.Core < len(s.cores) {
 		s.cores[e.Core].outstanding--
-	}
-	if s.probe != nil {
-		// The entry is already off the queue; +1 restores the occupancy
-		// the flush sampled.
-		s.probe.Emit(probe.Event{Kind: probe.WPQFlush, Cycle: s.cycle,
-			Core: e.Core, MC: mcID, Region: e.Region, Addr: e.Addr,
-			Arg: uint64(s.mcs[mcID].q.Len() + 1)})
 	}
 }
 
@@ -455,24 +449,9 @@ func (s *System) Tick() {
 	}
 }
 
-// deliverMsg hands one NoC message to its controller, bracketed with the
-// instrumentation events the probe layer expects.
+// deliverMsg hands one NoC message to its controller.
 func (s *System) deliverMsg(now uint64, m noc.Message) {
-	q := s.mcs[m.To].q
-	if s.probe == nil {
-		q.OnMessage(now, m)
-		return
-	}
-	if m.Kind == noc.MsgBdryAck {
-		s.probe.Emit(probe.Event{Kind: probe.BoundaryAck, Cycle: now,
-			Core: -1, MC: m.To, Region: m.Region})
-	}
-	wasOverflow := q.InOverflow()
-	q.OnMessage(now, m)
-	if wasOverflow && !q.InOverflow() {
-		s.probe.Emit(probe.Event{Kind: probe.WPQOverflowExit, Cycle: now,
-			Core: -1, MC: m.To, Region: m.Region})
-	}
+	s.mcs[m.To].q.OnMessage(now, m)
 }
 
 // sink delivers a persist-path entry to its controller.
@@ -485,50 +464,19 @@ func (s *System) sink(m int, e persistpath.Entry) bool {
 		return false
 	}
 	q := s.mcs[m].q
-	if s.probe == nil {
-		if e.Control {
-			// Boundary replicas at non-home controllers carry no data;
-			// only the home copy occupies a WPQ slot and settles the
-			// core's outstanding count when it flushes.
-			q.AcceptControl(e.Region)
-			return true
-		}
-		ok := q.Accept(wpq.Entry{
-			Addr: e.Addr, Val: e.Val, Region: e.Region,
-			Boundary: e.Boundary, Core: e.Core, Born: e.Born,
-		})
-		if ok {
-			s.wpqPending++
-		}
-		return ok
-	}
-	// Instrumented path: same delivery, bracketed so WPQ enqueues and the
-	// overflow-escape transitions (which happen inside Accept and the
-	// boundary bookkeeping) emit with the global cycle attached.
-	wasOverflow := q.InOverflow()
-	var ok bool
 	if e.Control {
-		q.AcceptControl(e.Region)
-		ok = true
-	} else {
-		ok = q.Accept(wpq.Entry{
-			Addr: e.Addr, Val: e.Val, Region: e.Region,
-			Boundary: e.Boundary, Core: e.Core, Born: e.Born,
-		})
-		if ok {
-			s.wpqPending++
-			s.probe.Emit(probe.Event{Kind: probe.WPQEnqueue, Cycle: s.cycle,
-				Core: e.Core, MC: m, Region: e.Region, Addr: e.Addr,
-				Arg: uint64(q.Len())})
-		}
+		// Boundary replicas at non-home controllers carry no data; only
+		// the home copy occupies a WPQ slot and settles the core's
+		// outstanding count when it flushes.
+		q.AcceptControl(s.cycle, e.Region)
+		return true
 	}
-	switch {
-	case !wasOverflow && q.InOverflow():
-		s.probe.Emit(probe.Event{Kind: probe.WPQOverflowEnter, Cycle: s.cycle,
-			Core: -1, MC: m, Region: q.FlushID()})
-	case wasOverflow && !q.InOverflow():
-		s.probe.Emit(probe.Event{Kind: probe.WPQOverflowExit, Cycle: s.cycle,
-			Core: -1, MC: m, Region: e.Region})
+	ok := q.Accept(s.cycle, wpq.Entry{
+		Addr: e.Addr, Val: e.Val, Region: e.Region,
+		Boundary: e.Boundary, Core: e.Core, Born: e.Born,
+	})
+	if ok {
+		s.wpqPending++
 	}
 	return ok
 }

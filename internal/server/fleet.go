@@ -63,6 +63,9 @@ func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, body []byt
 			if ri := reqInfoFrom(r.Context()); ri != nil {
 				ri.source = "forwarded:" + owner
 			}
+			if err != nil {
+				panic(http.ErrAbortHandler) // the stream was cut; see fleet.Proxy
+			}
 			return true
 		}
 		s.forwardFallbacks.Add(1)

@@ -13,6 +13,7 @@ import (
 
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/fleet"
+	"lightwsp/internal/obs"
 )
 
 // fleetNode is one in-process fleet member: a Server plus its HTTP front.
@@ -287,8 +288,8 @@ func TestFleetSessionResumesOnNewOwner(t *testing.T) {
 
 // TestForwardAbortsCutStream: a stream the owner breaks off mid-way
 // reaches the client through a forwarding node as a broken stream, not as
-// a short one that ends cleanly; the node accounts for the request and
-// counts no panic.
+// a short one that ends cleanly; the node accounts for the request, counts
+// the forward, names the peer on the access line and counts no panic.
 func TestForwardAbortsCutStream(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -305,7 +306,12 @@ func TestForwardAbortsCutStream(t *testing.T) {
 	ts := httptest.NewUnstartedServer(nil)
 	self := "http://" + ts.Listener.Addr().String()
 	peers := []string{self, owner.URL}
-	s := New(Config{Workers: 1, FleetSelf: self, FleetPeers: peers})
+	logs := &logBuffer{}
+	log, err := obs.NewLogger(logs, "info", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, FleetSelf: self, FleetPeers: peers, Logger: log})
 	ts.Config.Handler = s.Handler()
 	ts.Start()
 	defer ts.Close()
@@ -339,5 +345,11 @@ func TestForwardAbortsCutStream(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if want := `lightwsp_http_requests_total{endpoint="/v1/session/advance",code="200"} 1`; !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("the aborted request is not in /metrics as %s", want)
+	}
+	if want := `lightwsp_fleet_forwards_total{direction="out"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("the cut forward is not in /metrics as %s", want)
+	}
+	if want := `"source":"forwarded:` + owner.URL + `"`; !strings.Contains(logs.String(), want) {
+		t.Fatalf("the access line does not name the peer (%s):\n%s", want, logs.String())
 	}
 }

@@ -53,13 +53,13 @@ func flushReadyStream(t *testing.T, r *rand.Rand, broken bool) {
 		switch k := r.Intn(24); {
 		case k < 4:
 			what = "data entry"
-			q.Accept(Entry{Addr: uint64(0x1000 + 8*r.Intn(64)), Val: uint64(step), Region: region})
+			q.Accept(now, Entry{Addr: uint64(0x1000 + 8*r.Intn(64)), Val: uint64(step), Region: region})
 		case k < 6:
 			what = "boundary entry"
-			q.Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: region, Region: region, Boundary: true})
+			q.Accept(now, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: region, Region: region, Boundary: true})
 		case k < 8:
 			what = "control boundary"
-			q.AcceptControl(region)
+			q.AcceptControl(now, region)
 		case k < 9:
 			what = "boundary message"
 			q.OnMessage(now, noc.Message{Kind: noc.MsgBoundary, Region: region, From: r.Intn(n), To: i})
@@ -98,7 +98,7 @@ func flushReadyStream(t *testing.T, r *rand.Rand, broken bool) {
 		case k < 22:
 			what = "drain step"
 			before := q.Committed
-			q.DrainStep(exchange)
+			q.DrainStep(now, exchange)
 			commits += int(q.Committed - before)
 		case k < 23:
 			what = "clone"

@@ -71,9 +71,9 @@ func TestRetryHealsDroppedAck(t *testing.T) {
 		}
 		return false
 	}
-	p.q[0].Accept(Entry{Addr: 0x100, Val: 7, Region: 1})
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: 0x100, Val: 7, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(0, 100)
 	if !dropped {
 		t.Fatal("fixture never dropped the ACK")
@@ -98,9 +98,9 @@ func TestRetryBudgetExhaustionReportsPeer(t *testing.T) {
 	var timeouts []int
 	p.q[0].sinks.OnPeerTimeout = func(peer int) { timeouts = append(timeouts, peer) }
 	p.drop = func(m noc.Message) bool { return m.From == 1 } // MC1 is mute
-	p.q[0].Accept(Entry{Addr: 0x100, Val: 7, Region: 1})
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: 0x100, Val: 7, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(0, 400)
 	if len(timeouts) == 0 {
 		t.Fatal("retry budget exhaustion never reported the silent peer")
@@ -128,7 +128,7 @@ func TestRetryBudgetExhaustionReportsPeer(t *testing.T) {
 // second is absorbed idempotently.
 func TestDuplicateAckSuppressed(t *testing.T) {
 	p := newRPair(t, Config{RetryTimeout: 50, RetryBudget: 3})
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
 	ack := noc.Message{Kind: noc.MsgBdryAck, Region: 1, From: 1, To: 0}
 	p.q[0].OnMessage(5, ack)
 	p.q[0].OnMessage(6, ack)
@@ -148,8 +148,8 @@ func TestDuplicateAckSuppressed(t *testing.T) {
 func TestReplayReACKsHeldAndCommittedRegions(t *testing.T) {
 	p := newRPair(t, Config{RetryTimeout: 50, RetryBudget: 3})
 	// Commit region 1 everywhere.
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(0, 40)
 	if p.q[1].FlushID() != 2 {
 		t.Fatalf("flushID = %d, want 2", p.q[1].FlushID())
@@ -167,7 +167,7 @@ func TestReplayReACKsHeldAndCommittedRegions(t *testing.T) {
 		t.Fatalf("replay for an unseen boundary produced %v; replays must not create knowledge", p.net)
 	}
 	// Held-but-uncommitted region: must re-ACK.
-	p.q[1].AcceptControl(3)
+	p.q[1].AcceptControl(0, 3)
 	p.net = nil
 	p.q[1].OnMessage(43, noc.Message{Kind: noc.MsgBdryReplay, Region: 3, From: 0, To: 1})
 	if len(p.net) != 1 || p.net[0].Kind != noc.MsgBdryAck || p.net[0].Region != 3 {
@@ -186,8 +186,8 @@ func TestDegradedEagerPersistUndoAndCompaction(t *testing.T) {
 	if !p.q[0].Degraded() {
 		t.Fatal("Degraded() false after SetDegraded")
 	}
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x20, Val: 2, Region: 2})
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x20, Val: 2, Region: 2})
 	p.run(0, 20)
 	if p.pm.Read(0x10) != 1 || p.pm.Read(0x20) != 2 {
 		t.Fatalf("degraded mode did not eager-flush: %#x %#x", p.pm.Read(0x10), p.pm.Read(0x20))
@@ -197,8 +197,8 @@ func TestDegradedEagerPersistUndoAndCompaction(t *testing.T) {
 	}
 	// Region 1 becomes globally confirmed and commits; its undo record
 	// retires but region 2's must survive the log compaction.
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(21, 80)
 	if p.q[0].FlushID() != 2 {
 		t.Fatalf("flushID = %d, want 2", p.q[0].FlushID())
@@ -237,7 +237,7 @@ func TestBrokenDupAcksPrematureFlush(t *testing.T) {
 	ack := noc.Message{Kind: noc.MsgBdryAck, Region: 1, From: 1, To: 0}
 
 	q := mk(true)
-	q.Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	q.Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
 	q.OnMessage(0, ack)
 	q.OnMessage(1, ack) // duplicate from the same peer double-counts
 	if !q.canFlush(1) {
@@ -245,7 +245,7 @@ func TestBrokenDupAcksPrematureFlush(t *testing.T) {
 	}
 
 	q = mk(false)
-	q.Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	q.Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
 	q.OnMessage(0, ack)
 	q.OnMessage(1, ack)
 	if q.canFlush(1) {
@@ -265,17 +265,17 @@ func TestBrokenDupAcksPrematureFlush(t *testing.T) {
 // UndoWrites counters track it, and the awaited boundary's arrival ends it.
 func TestOverflowLifecycle(t *testing.T) {
 	p := newPair(t, 2)
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x18, Val: 2, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x18, Val: 2, Region: 1})
 	if p.q[0].InOverflow() {
 		t.Fatal("overflow before any full reject")
 	}
-	p.q[0].Accept(Entry{Addr: 0x20, Val: 3, Region: 2})
+	p.q[0].Accept(0, Entry{Addr: 0x20, Val: 3, Region: 2})
 	if !p.q[0].InOverflow() || p.q[0].Deadlocks != 1 {
 		t.Fatalf("overflow=%v deadlocks=%d after trigger", p.q[0].InOverflow(), p.q[0].Deadlocks)
 	}
 	// Repeated rejects during the same episode must not re-count.
-	p.q[0].Accept(Entry{Addr: 0x28, Val: 4, Region: 2})
+	p.q[0].Accept(0, Entry{Addr: 0x28, Val: 4, Region: 2})
 	if p.q[0].Deadlocks != 1 {
 		t.Fatalf("Deadlocks = %d, want 1 per episode", p.q[0].Deadlocks)
 	}
@@ -284,11 +284,11 @@ func TestOverflowLifecycle(t *testing.T) {
 		t.Fatal("escape path flushed without undo logging")
 	}
 	// The awaited boundary arrives: the episode ends immediately.
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 9, Region: 1, Boundary: true})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 9, Region: 1, Boundary: true})
 	if p.q[0].InOverflow() {
 		t.Fatal("overflow persisted past the awaited boundary's arrival")
 	}
-	p.q[1].AcceptControl(1)
+	p.q[1].AcceptControl(0, 1)
 	p.run(11, 80)
 	if p.q[0].FlushID() != 2 {
 		t.Fatalf("flushID = %d after normal completion", p.q[0].FlushID())

@@ -144,9 +144,9 @@ type Queue struct {
 	// SetDegraded.
 	degraded bool
 
-	// probe, when set, receives the queue's internally-timed events (undo
-	// logging); the enclosing machine emits the rest (enqueue, flush,
-	// overflow transitions) where the global cycle is in scope.
+	// probe, when set, receives every event of the queue: enqueues,
+	// flushes, bdry-ACKs received, deadlock-escape transitions, undo
+	// logging, retries and suppressed duplicates.
 	probe probe.Sink
 
 	// Statistics.
@@ -220,6 +220,14 @@ func (q *Queue) Degraded() bool { return q.degraded }
 // SetProbe attaches an instrumentation sink (nil detaches).
 func (q *Queue) SetProbe(s probe.Sink) { q.probe = s }
 
+// emit sends ev, stamped with this controller's ID, to the probe sink.
+func (q *Queue) emit(ev probe.Event) {
+	if q.probe != nil {
+		ev.MC = q.cfg.ID
+		q.probe.Emit(ev)
+	}
+}
+
 // Len returns the current occupancy.
 func (q *Queue) Len() int { return len(q.entries) }
 
@@ -245,9 +253,9 @@ func (q *Queue) Search(addr uint64) bool {
 	return false
 }
 
-// recordBoundary notes that region r's boundary reached this controller and
-// acknowledges it to every other controller.
-func (q *Queue) recordBoundary(r uint64) {
+// recordBoundary notes that region r's boundary reached this controller at
+// cycle now and acknowledges it to every other controller.
+func (q *Queue) recordBoundary(now, r uint64) {
 	if q.bdryRcvd[r] {
 		return
 	}
@@ -264,28 +272,30 @@ func (q *Queue) recordBoundary(r uint64) {
 		// The awaited boundary arrived; the escape path ends and the
 		// region completes through the normal protocol.
 		q.overflow = false
+		q.emit(probe.Event{Kind: probe.WPQOverflowExit, Cycle: now, Core: -1, Region: r})
 	}
 }
 
-// AcceptControl ingests a boundary replica that carries no data (delivered
-// to a non-home controller). It always succeeds: control messages need no
-// queue slot.
-func (q *Queue) AcceptControl(region uint64) {
+// AcceptControl ingests, at cycle now, a boundary replica that carries no
+// data (delivered to a non-home controller). It always succeeds: control
+// messages need no queue slot.
+func (q *Queue) AcceptControl(now, region uint64) {
 	if q.cfg.Mode == Gated {
-		q.recordBoundary(region)
+		q.recordBoundary(now, region)
 	}
 }
 
-// Accept tries to ingest a data entry. false means the persist-path channel
-// must retry later (queue full, or overflow mode declining other regions'
-// stores).
-func (q *Queue) Accept(e Entry) bool {
+// Accept tries to ingest a data entry at cycle now. false means the
+// persist-path channel must retry later (queue full, or overflow mode
+// declining other regions' stores).
+func (q *Queue) Accept(now uint64, e Entry) bool {
 	full := len(q.entries) >= q.cfg.Entries
 	if q.cfg.Mode == Gated && full && !q.bdryRcvd[q.flushID] && !q.overflow {
 		// Deadlock: the queue is full and cannot receive the boundary
 		// its oldest entries wait for (§IV-D).
 		q.overflow = true
 		q.Deadlocks++
+		q.emit(probe.Event{Kind: probe.WPQOverflowEnter, Cycle: now, Core: -1, Region: q.flushID})
 	}
 	if q.cfg.Mode == Gated && q.overflow {
 		// §IV-D: during overflow, only the currently persisting
@@ -308,8 +318,10 @@ func (q *Queue) Accept(e Entry) bool {
 	if len(q.entries) > q.MaxOccupancy {
 		q.MaxOccupancy = len(q.entries)
 	}
+	q.emit(probe.Event{Kind: probe.WPQEnqueue, Cycle: now, Core: e.Core,
+		Region: e.Region, Addr: e.Addr, Arg: uint64(len(q.entries))})
 	if e.Boundary && q.cfg.Mode == Gated {
-		q.recordBoundary(e.Region)
+		q.recordBoundary(now, e.Region)
 	}
 	return true
 }
@@ -318,6 +330,9 @@ func (q *Queue) Accept(e Entry) bool {
 func (q *Queue) OnMessage(now uint64, m noc.Message) {
 	if q.cfg.Mode != Gated {
 		return
+	}
+	if m.Kind == noc.MsgBdryAck {
+		q.emit(probe.Event{Kind: probe.BoundaryAck, Cycle: now, Core: -1, Region: m.Region})
 	}
 	if m.Kind == noc.MsgBdryReplay {
 		// A stalled peer is soliciting a (re-)ACK for m.Region. Reply iff
@@ -343,7 +358,7 @@ func (q *Queue) OnMessage(now uint64, m noc.Message) {
 	case noc.MsgFlushAck:
 		q.recordAck(now, q.flushAcks, m)
 	case noc.MsgBoundary:
-		q.recordBoundary(m.Region)
+		q.recordBoundary(now, m.Region)
 	}
 }
 
@@ -369,10 +384,8 @@ func (q *Queue) recordAck(now uint64, acks map[uint64]uint64, m noc.Message) {
 	bit := uint64(1) << uint(m.From)
 	if acks[m.Region]&bit != 0 {
 		q.DupSuppressed++
-		if q.probe != nil {
-			q.probe.Emit(probe.Event{Kind: probe.FabricDupSuppressed, Cycle: now,
-				Core: -1, MC: q.cfg.ID, Region: m.Region, Arg: uint64(m.From)})
-		}
+		q.emit(probe.Event{Kind: probe.FabricDupSuppressed, Cycle: now,
+			Core: -1, Region: m.Region, Arg: uint64(m.From)})
 		return
 	}
 	acks[m.Region] |= bit
@@ -437,10 +450,8 @@ func (q *Queue) tickRetry(now uint64) {
 		}
 		q.sinks.Send(noc.Message{Kind: noc.MsgBdryReplay, Region: fid, From: q.cfg.ID, To: m})
 		q.Retries++
-		if q.probe != nil {
-			q.probe.Emit(probe.Event{Kind: probe.FabricRetry, Cycle: now,
-				Core: -1, MC: q.cfg.ID, Region: fid, Arg: uint64(q.retryCount)})
-		}
+		q.emit(probe.Event{Kind: probe.FabricRetry, Cycle: now,
+			Core: -1, Region: fid, Arg: uint64(q.retryCount)})
 	}
 }
 
@@ -490,7 +501,7 @@ func (q *Queue) tickFIFO(now uint64) {
 	}
 	e := q.entries[0]
 	q.entries = q.entries[1:]
-	q.writePM(e)
+	q.writePM(now, e)
 	q.busyUntil = now + q.cfg.PMWriteInterval + q.cfg.PMWriteExtra
 }
 
@@ -522,7 +533,7 @@ func (q *Queue) tickGated(now uint64) {
 		if i := q.findRegion(fid); i >= 0 {
 			e := q.entries[i]
 			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			q.writePM(e)
+			q.writePM(now, e)
 			q.busyUntil = now + q.cfg.PMWriteInterval
 			return
 		}
@@ -552,11 +563,9 @@ func (q *Queue) tickGated(now uint64) {
 			e := q.entries[i]
 			q.entries = append(q.entries[:i], q.entries[i+1:]...)
 			q.undoLog(e.Addr, e.Region)
-			if q.probe != nil {
-				q.probe.Emit(probe.Event{Kind: probe.WPQUndo, Cycle: now,
-					Core: -1, MC: q.cfg.ID, Addr: e.Addr, Arg: uint64(len(q.undoRecs))})
-			}
-			q.writePM(e)
+			q.emit(probe.Event{Kind: probe.WPQUndo, Cycle: now,
+				Core: -1, Addr: e.Addr, Arg: uint64(len(q.undoRecs))})
+			q.writePM(now, e)
 			q.busyUntil = now + q.cfg.PMWriteInterval + q.cfg.PMWriteExtra + q.cfg.PMWriteInterval
 		}
 	}
@@ -628,12 +637,16 @@ func (q *Queue) findRegion(r uint64) int {
 	return -1
 }
 
-func (q *Queue) writePM(e Entry) {
+// writePM persists e, which has already left the queue, at cycle now.
+func (q *Queue) writePM(now uint64, e Entry) {
 	q.sinks.PMWrite(e.Addr, e.Val)
 	q.Flushed++
 	if q.sinks.OnFlush != nil {
 		q.sinks.OnFlush(e)
 	}
+	// +1 restores the occupancy the flush sampled.
+	q.emit(probe.Event{Kind: probe.WPQFlush, Cycle: now, Core: e.Core,
+		Region: e.Region, Addr: e.Addr, Arg: uint64(len(q.entries) + 1)})
 }
 
 // Undo-log layout in PM: header word (record count) followed by
@@ -686,14 +699,14 @@ func (q *Queue) commit(fid uint64) {
 }
 
 // DrainStep implements one round of the controller side of the power-failure
-// protocol (§IV-F): with cores dead and in-flight MC↔MC ACKs delivered, it
-// flushes the entries of every region whose boundary provably reached all
-// controllers, exchanging ACKs instantly over battery power (exchange must
-// deliver a message to its destination queue synchronously). It returns
-// whether it made progress; the orchestrator keeps stepping all controllers
-// until none does — a flush-ACK from one controller can unblock a commit at
-// another.
-func (q *Queue) DrainStep(exchange func(m noc.Message)) (progress bool) {
+// protocol (§IV-F) at cycle now: with cores dead and in-flight MC↔MC ACKs
+// delivered, it flushes the entries of every region whose boundary provably
+// reached all controllers, exchanging ACKs instantly over battery power
+// (exchange must deliver a message to its destination queue synchronously).
+// It returns whether it made progress; the orchestrator keeps stepping all
+// controllers until none does — a flush-ACK from one controller can unblock
+// a commit at another.
+func (q *Queue) DrainStep(now uint64, exchange func(m noc.Message)) (progress bool) {
 	if q.cfg.Mode != Gated {
 		return false
 	}
@@ -709,7 +722,7 @@ func (q *Queue) DrainStep(exchange func(m noc.Message)) (progress bool) {
 			}
 			e := q.entries[i]
 			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			q.writePM(e)
+			q.writePM(now, e)
 			progress = true
 		}
 		for m := 0; m < q.cfg.NumMCs; m++ {

@@ -62,9 +62,9 @@ func TestGatedPrefixPropertyRandomized(t *testing.T) {
 				break
 			}
 			if e.ctl {
-				p.q[e.mc].AcceptControl(e.e.Region)
+				p.q[e.mc].AcceptControl(now, e.e.Region)
 			} else {
-				for !p.q[e.mc].Accept(e.e) {
+				for !p.q[e.mc].Accept(now, e.e) {
 					now++
 					p.pump(now)
 				}
@@ -83,7 +83,7 @@ func TestGatedPrefixPropertyRandomized(t *testing.T) {
 		for {
 			progress := false
 			for i := range p.q {
-				progress = p.q[i].DrainStep(exchange) || progress
+				progress = p.q[i].DrainStep(now, exchange) || progress
 			}
 			if !progress {
 				break
@@ -153,7 +153,7 @@ func TestFIFOModeNeverGates(t *testing.T) {
 	now := uint64(0)
 	for i := 0; i < 100; i++ {
 		e := Entry{Addr: uint64(0x1000 + 8*i), Val: uint64(i + 1), Region: uint64(r.Intn(5))}
-		for !q.Accept(e) {
+		for !q.Accept(now, e) {
 			now++
 			q.Tick(now)
 		}

@@ -53,14 +53,14 @@ func (p *pair) run(from, to uint64) {
 
 func TestGatedQuarantineUntilBoundary(t *testing.T) {
 	p := newPair(t, 8)
-	p.q[0].Accept(Entry{Addr: 0x100, Val: 7, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x100, Val: 7, Region: 1})
 	p.run(0, 50)
 	if p.pm.Read(0x100) != 0 {
 		t.Fatal("entry flushed before its boundary arrived")
 	}
 	// Boundary reaches both controllers (data at MC0, control at MC1).
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 42, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 42, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(51, 120)
 	if p.pm.Read(0x100) != 7 {
 		t.Fatal("entry not flushed after boundary + ACKs")
@@ -74,17 +74,17 @@ func TestRegionOrderAcrossMCs(t *testing.T) {
 	// Region 2's stores arrive at MC1 before region 1 even has its
 	// boundary (NUMA skew): they must not flush until region 1 commits.
 	p := newPair(t, 8)
-	p.q[1].Accept(Entry{Addr: 0x200, Val: 9, Region: 2})
-	p.q[1].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 2, Boundary: true})
-	p.q[0].AcceptControl(2)
+	p.q[1].Accept(0, Entry{Addr: 0x200, Val: 9, Region: 2})
+	p.q[1].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 2, Boundary: true})
+	p.q[0].AcceptControl(0, 2)
 	p.run(0, 60)
 	if p.pm.Read(0x200) != 0 {
 		t.Fatal("younger region flushed before older committed (LRPO violation)")
 	}
 	// Now region 1 arrives and commits; then region 2 may flush.
-	p.q[0].Accept(Entry{Addr: 0x100, Val: 5, Region: 1})
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(1, mem.CkptSlotPC), Val: 2, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: 0x100, Val: 5, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(1, mem.CkptSlotPC), Val: 2, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(61, 200)
 	if p.pm.Read(0x100) != 5 || p.pm.Read(0x200) != 9 {
 		t.Fatalf("final PM wrong: %#x %#x", p.pm.Read(0x100), p.pm.Read(0x200))
@@ -111,8 +111,8 @@ func TestEmptyRegionCommits(t *testing.T) {
 	// A region with no stores at either MC (e.g. all checkpoint slots on
 	// one MC) must still commit so the flush ID advances.
 	p := newPair(t, 8)
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(0, 100)
 	if p.q[0].FlushID() != 2 || p.q[1].FlushID() != 2 {
 		t.Fatalf("flush IDs = %d,%d", p.q[0].FlushID(), p.q[1].FlushID())
@@ -121,7 +121,7 @@ func TestEmptyRegionCommits(t *testing.T) {
 
 func TestSearchCAM(t *testing.T) {
 	p := newPair(t, 8)
-	p.q[0].Accept(Entry{Addr: 0x300, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x300, Val: 1, Region: 1})
 	if !p.q[0].Search(0x300) {
 		t.Fatal("CAM miss on quarantined entry")
 	}
@@ -135,10 +135,10 @@ func TestSearchCAM(t *testing.T) {
 
 func TestFullRejectAndDeadlockDetection(t *testing.T) {
 	p := newPair(t, 2)
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x18, Val: 2, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x18, Val: 2, Region: 1})
 	// Full, and no boundary for flushID=1 received: deadlock.
-	if p.q[0].Accept(Entry{Addr: 0x20, Val: 3, Region: 2}) {
+	if p.q[0].Accept(0, Entry{Addr: 0x20, Val: 3, Region: 2}) {
 		t.Fatal("full queue accepted an entry")
 	}
 	if !p.q[0].InOverflow() {
@@ -152,9 +152,9 @@ func TestFullRejectAndDeadlockDetection(t *testing.T) {
 func TestOverflowEscapeUndoLogsAndRecovers(t *testing.T) {
 	p := newPair(t, 2)
 	p.pm.Write(0x10, 0xAA) // pre-image
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x18, Val: 2, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x20, Val: 3, Region: 2}) // triggers overflow
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x18, Val: 2, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x20, Val: 3, Region: 2}) // triggers overflow
 	p.run(0, 30)
 	// The escape path flushed region 1's entries with undo logging.
 	if p.pm.Read(0x10) != 1 || p.pm.Read(0x18) != 2 {
@@ -180,14 +180,14 @@ func TestOverflowEscapeUndoLogsAndRecovers(t *testing.T) {
 
 func TestOverflowCommitClearsUndoLog(t *testing.T) {
 	p := newPair(t, 2)
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x18, Val: 2, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x20, Val: 3, Region: 2}) // overflow
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x18, Val: 2, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x20, Val: 3, Region: 2}) // overflow
 	p.run(0, 30)
 	// The boundary finally arrives; the region commits normally and the
 	// undo log must be invalidated.
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 9, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 9, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(31, 120)
 	if p.q[0].FlushID() != 2 {
 		t.Fatalf("flushID = %d", p.q[0].FlushID())
@@ -205,14 +205,14 @@ func TestOverflowCommitClearsUndoLog(t *testing.T) {
 
 func TestOverflowDeclinesOtherRegions(t *testing.T) {
 	p := newPair(t, 2)
-	p.q[0].Accept(Entry{Addr: 0x10, Val: 1, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x18, Val: 2, Region: 1})
-	p.q[0].Accept(Entry{Addr: 0x20, Val: 3, Region: 2}) // overflow on
-	p.run(0, 10)                                        // frees room via escape flush
-	if p.q[0].Accept(Entry{Addr: 0x28, Val: 4, Region: 2}) {
+	p.q[0].Accept(0, Entry{Addr: 0x10, Val: 1, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x18, Val: 2, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: 0x20, Val: 3, Region: 2}) // overflow on
+	p.run(0, 10)                                           // frees room via escape flush
+	if p.q[0].Accept(0, Entry{Addr: 0x28, Val: 4, Region: 2}) {
 		t.Fatal("overflow mode accepted a younger region's store")
 	}
-	if !p.q[0].Accept(Entry{Addr: 0x30, Val: 5, Region: 1}) {
+	if !p.q[0].Accept(0, Entry{Addr: 0x30, Val: 5, Region: 1}) {
 		t.Fatal("overflow mode declined the persisting region's store")
 	}
 }
@@ -227,8 +227,8 @@ func TestFIFOModeFlushesInArrivalOrder(t *testing.T) {
 			Send:    func(noc.Message) {},
 			OnFlush: func(e Entry) { flushed = append(flushed, e.Addr) },
 		})
-	q.Accept(Entry{Addr: 0x10, Val: 1, Region: 5})
-	q.Accept(Entry{Addr: 0x18, Val: 2, Region: 3})
+	q.Accept(0, Entry{Addr: 0x10, Val: 1, Region: 5})
+	q.Accept(0, Entry{Addr: 0x18, Val: 2, Region: 3})
 	for c := uint64(0); c < 10; c++ {
 		q.Tick(c)
 	}
@@ -246,7 +246,7 @@ func TestFIFOWriteExtraSlowsFlush(t *testing.T) {
 		q := New(Config{ID: 0, NumMCs: 1, Entries: 16, Mode: FIFO, PMWriteInterval: 2, PMWriteExtra: extra},
 			Sinks{PMWrite: func(a, v uint64) { pm.Write(a, v) }, PMRead: pm.Read, Send: func(noc.Message) {}})
 		for i := 0; i < 8; i++ {
-			q.Accept(Entry{Addr: uint64(i * 8), Val: 1, Region: 1})
+			q.Accept(0, Entry{Addr: uint64(i * 8), Val: 1, Region: 1})
 		}
 		var done uint64
 		for c := uint64(0); c < 1000; c++ {
@@ -267,10 +267,10 @@ func TestDrainCommittableOnFailure(t *testing.T) {
 	p := newPair(t, 8)
 	// Region 1 fully delivered (boundary at both MCs), region 2 only has
 	// data, no boundary.
-	p.q[0].Accept(Entry{Addr: 0x100, Val: 5, Region: 1})
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
-	p.q[1].Accept(Entry{Addr: 0x200, Val: 9, Region: 2})
+	p.q[0].Accept(0, Entry{Addr: 0x100, Val: 5, Region: 1})
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
+	p.q[1].Accept(0, Entry{Addr: 0x200, Val: 9, Region: 2})
 	// Deliver pending bdry-ACKs synchronously, then drain.
 	for _, m := range p.net {
 		p.q[m.To].OnMessage(100, m)
@@ -280,7 +280,7 @@ func TestDrainCommittableOnFailure(t *testing.T) {
 	for {
 		progress := false
 		for i := range p.q {
-			progress = p.q[i].DrainStep(exchange) || progress
+			progress = p.q[i].DrainStep(0, exchange) || progress
 		}
 		if !progress {
 			break
@@ -301,7 +301,7 @@ func TestDrainCommittableOnFailure(t *testing.T) {
 func TestMaxOccupancyTracked(t *testing.T) {
 	p := newPair(t, 8)
 	for i := 0; i < 5; i++ {
-		p.q[0].Accept(Entry{Addr: uint64(i * 8), Val: 1, Region: 1})
+		p.q[0].Accept(0, Entry{Addr: uint64(i * 8), Val: 1, Region: 1})
 	}
 	if p.q[0].MaxOccupancy != 5 {
 		t.Fatalf("MaxOccupancy = %d", p.q[0].MaxOccupancy)
@@ -313,9 +313,9 @@ func TestFIFOModeIgnoresControlAndMessages(t *testing.T) {
 	q := New(Config{ID: 0, NumMCs: 2, Entries: 4, Mode: FIFO, PMWriteInterval: 1},
 		Sinks{PMWrite: func(a, v uint64) { pm.Write(a, v) }, PMRead: pm.Read,
 			Send: func(noc.Message) { t.Fatal("FIFO mode sent a protocol message") }})
-	q.AcceptControl(5)
+	q.AcceptControl(0, 5)
 	q.OnMessage(0, noc.Message{Kind: noc.MsgBdryAck, Region: 5, From: 1, To: 0})
-	q.Accept(Entry{Addr: 0x10, Val: 1, Region: 5})
+	q.Accept(0, Entry{Addr: 0x10, Val: 1, Region: 5})
 	for c := uint64(0); c < 5; c++ {
 		q.Tick(c)
 	}
@@ -327,8 +327,8 @@ func TestFIFOModeIgnoresControlAndMessages(t *testing.T) {
 func TestStaleMessagesIgnored(t *testing.T) {
 	p := newPair(t, 8)
 	// Commit region 1 fully.
-	p.q[0].Accept(Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
-	p.q[1].AcceptControl(1)
+	p.q[0].Accept(0, Entry{Addr: mem.CkptAddr(0, mem.CkptSlotPC), Val: 1, Region: 1, Boundary: true})
+	p.q[1].AcceptControl(0, 1)
 	p.run(0, 60)
 	if p.q[0].FlushID() != 2 {
 		t.Fatalf("flushID = %d", p.q[0].FlushID())
